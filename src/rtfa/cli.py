@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eig import varimax
+from .eig import _fix_signs, varimax
 from .estimation import (
     EstimationConfig,
     LoadingSet,
@@ -254,11 +254,7 @@ def _cmd_analyze(args) -> int:
     prefix = args.out or str(Path(args.loadings).with_suffix(""))
     display_source = a
     if args.varimax:
-        rotated, _ = varimax(a)
-        for j in range(rotated.shape[1]):
-            i = int(np.argmax(np.abs(rotated[:, j])))
-            if rotated[i, j] < 0:
-                rotated[:, j] = -rotated[:, j]
+        rotated = _fix_signs(varimax(a)[0])
         display = np.trunc(30.0 * rotated).astype(int)
         with open(f"{prefix}_varimax.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -99,7 +99,8 @@ class EstimationResult:
 
 
 def _check_series(x: np.ndarray) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)
+    """The validated series, C-contiguous so that mode products never copy it."""
+    xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim < 2:
         raise ValueError("expected a series of tensors with time on the leading axis")
     if xs.shape[0] < 1:
@@ -123,15 +124,30 @@ def initial_estimator(x: np.ndarray, ranks) -> LoadingSet:
     for k, (r, p_k) in enumerate(zip(ranks, dims)):
         if not 1 <= r <= p_k:
             raise ValueError(f"rank {r} invalid for mode {k} of size {p_k}")
-    t_len = xs.shape[0]
-    p = math.prod(dims)
     mats = []
     for k, r in enumerate(ranks):
-        u = series_unfold(xs, k)
-        m = np.einsum("tij,tkj->ik", u, u, optimize=True) / (t_len * p)
-        pair = sym_eig(m, count=r)
+        pair = sym_eig(_gram(xs, k) / xs.size, count=r)
         mats.append(math.sqrt(dims[k]) * pair.vectors)
     return LoadingSet(tuple(mats))
+
+
+def _gram(ys: np.ndarray, k: int, weights=None) -> np.ndarray:
+    """sum_t w_t unfold(Y_t, k) unfold(Y_t, k).T over a (T, q_1, ..., q_K)
+    series, as one GEMM on the sqrt(w)-scaled (q_k, T n) matrix of mode-k
+    fibres; w_t = 1 when ``weights`` is None.  A Gram does not depend on the
+    column order, so the fibres come from reshapes of C-ordered ``ys``: a view
+    when mode k is trailing, one copy of ``ys`` otherwise."""
+    q_k = ys.shape[k + 1]
+    u = ys.reshape(math.prod(ys.shape[:k + 1]), q_k, -1).swapaxes(0, 1)
+    u = u.reshape(q_k, ys.shape[0], -1)
+    if weights is not None:
+        u = u * np.sqrt(weights)[:, None]
+    u = u.reshape(q_k, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = u @ u.T
+    if not np.isfinite(m).all():
+        raise NumericalError("non-finite covariance")
+    return m
 
 
 def projection_cov(x: np.ndarray, k: int, b: np.ndarray, weights=None) -> np.ndarray:
@@ -148,17 +164,13 @@ def projection_cov(x: np.ndarray, k: int, b: np.ndarray, weights=None) -> np.nda
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != p_rest or b.shape[1] < 1:
         raise ValueError(f"b must be {p_rest} x r, got {b.shape}")
-    g = series_unfold(xs, k) @ b
-    if weights is None:
-        m = np.einsum("tij,tkj->ik", g, g, optimize=True)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (t_len,):
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (t_len,):
             raise ValueError(f"weights must have length {t_len}")
-        if (w < 0).any():
+        if (weights < 0).any():
             raise ValueError("weights must be nonnegative")
-        m = np.einsum("t,tij,tkj->ik", w, g, g, optimize=True)
-    return m / (t_len * p * p_rest)
+    return _gram(series_unfold(xs, k) @ b, 0, weights) / (t_len * p * p_rest)
 
 
 def huber_loss(x, tau: float):
@@ -173,7 +185,9 @@ def huber_loss(x, tau: float):
 # Slices whose projected energy reaches this share of ||X_t||^2 lose too many
 # digits in ||X_t||^2 - ||core_t||^2 / p and get the direct residual instead.
 _DIRECT_SHARE = 1.0 - 1e-4
-# Scales at or below this multiple of eps * ||X_t|| / sqrt(p) are rounding.
+# A value within this many ulps of its reference size is rounding noise and
+# is set to exactly 0: a residual scale against ||X_t|| / sqrt(p), an
+# eigenvalue in rank selection against n_values * lambda_1.
 _ZERO_ULPS = 64
 
 
@@ -254,13 +268,33 @@ def common_components(loadings: LoadingSet, factors: np.ndarray) -> np.ndarray:
     return series_multi_mode_product(np.asarray(factors, dtype=float), loadings.mats)
 
 
-def _sweep_gram(xs: np.ndarray, mats: list[np.ndarray], k: int) -> np.ndarray:
-    """X_{k,t} B_k for all t, via sequential mode products: (T, p_k, r_{-k})."""
+def _huber_state(xs: np.ndarray, ie: LoadingSet, tau) -> tuple[float, np.ndarray]:
+    """(tau, ||X_t||^2) for a robust sweep: tau by the median rule at the
+    initial estimator ``ie``, or the fixed positive value given."""
+    tau = default_tau(xs, ie) if tau == "median" else float(tau)
+    if not tau > 0:
+        raise ValueError("fixed tau must be > 0")
+    flat = xs.reshape(xs.shape[0], -1)
+    return tau, np.einsum("ti,ti->t", flat, flat)
+
+
+def _sweep_cov(xs: np.ndarray, mats: list[np.ndarray], k: int, huber=None):
+    """(sum_t w_t X_{k,t} B_k B_k.T X_{k,t}.T / (T p p_{-k}), w): the projected
+    mode-k covariance of one sweep step, X_t contracted by the other modes'
+    loadings in ``mats``.  With ``huber`` from :func:`_huber_state`, w holds the
+    Huber weights of the residual scales under ``mats``; else w_t = 1, w None.
+    """
+    dims = xs.shape[1:]
     proj = xs
-    for j in range(len(mats)):
+    for j in range(len(dims)):
         if j != k:
             proj = series_mode_product(proj, j, mats[j].T)
-    return series_unfold(proj, k)
+    w = None
+    if huber is not None:
+        core = series_mode_product(proj, k, mats[k].T).reshape(len(xs), -1)
+        cnorm2 = np.einsum("ti,ti->t", core, core)
+        w = _weights_from_scales(_scales_from_norms(xs, mats, huber[1], cnorm2), huber[0])
+    return _gram(proj, k, w) / (xs.size * (xs[0].size // dims[k])), w
 
 
 def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
@@ -283,18 +317,10 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
     xs = _check_series(x)
     dims = xs.shape[1:]
     n_modes = len(dims)
-    t_len = xs.shape[0]
-    p = math.prod(dims)
 
     ie = initial_estimator(xs, config.ranks)
     mats = list(ie.mats)
-
-    tau = None
-    xnorm2 = None
-    if config.robust:
-        tau = default_tau(xs, ie) if config.tau == "median" else float(config.tau)
-        flat = xs.reshape(t_len, -1)
-        xnorm2 = np.einsum("ti,ti->t", flat, flat)
+    huber = _huber_state(xs, ie, config.tau) if config.robust else None
 
     rank_warnings: list[str] = []
     eigenvalues: list[np.ndarray] = [np.empty(0)] * n_modes
@@ -306,16 +332,7 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
     for _ in range(config.max_iter):
         prev = list(mats)
         for k in range(n_modes):
-            g = _sweep_gram(xs, mats, k)
-            if config.robust:
-                core = np.matmul(mats[k].T, g)
-                cnorm2 = np.einsum("tij,tij->t", core, core)
-                w = _weights_from_scales(_scales_from_norms(xs, mats, xnorm2, cnorm2), tau)
-                m = np.einsum("t,tij,tkj->ik", w, g, g, optimize=True)
-                last_weights[k] = w
-            else:
-                m = np.einsum("tij,tkj->ik", g, g, optimize=True)
-            m /= t_len * p * (p // dims[k])
+            m, last_weights[k] = _sweep_cov(xs, mats, k, huber)
             pair = sym_eig(m, count=config.ranks[k])
             if pair.values[-1] <= 1e-14 * max(pair.values[0], 1e-300):
                 msg = f"rank-deficient projected covariance at mode {k}"
@@ -344,6 +361,6 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
         iterations_run=iterations,
         per_iteration_subspace_change=changes,
         converged=converged,
-        tau_used=tau,
+        tau_used=huber[0] if huber else None,
         diagnostics=diagnostics,
     )

@@ -10,15 +10,14 @@ import numpy as np
 
 from .eig import sym_eig
 from .estimation import (
+    _METHODS,
+    _ZERO_ULPS,
     _check_series,
-    _scales_from_norms,
-    _sweep_gram,
-    _weights_from_scales,
-    default_tau,
+    _huber_state,
+    _sweep_cov,
     initial_estimator,
 )
 
-_METHODS = {"ls", "least_squares", "huber"}
 _REGIMES = {"ge2", "lt2"}
 
 
@@ -84,7 +83,10 @@ def eigenvalue_ratio_pick(values, penalty: float, r_max: int) -> int:
     """argmax over j <= r_max of values[j] / (values[j+1] + penalty), 1-based.
 
     Ties break toward the smallest j.  ``values`` must be non-increasing,
-    nonnegative, and supply at least r_max + 1 entries.
+    nonnegative, and supply at least r_max + 1 entries.  Values at or below
+    64 eps len(values) values[0] are set to exactly 0 first, so the pick does
+    not depend on the sign or size of rounding noise: with zero penalty a
+    ratio values[j] / 0 is +inf when values[j] > 0 and 0 / 0 counts as -inf.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < r_max + 1:
@@ -96,6 +98,7 @@ def eigenvalue_ratio_pick(values, penalty: float, r_max: int) -> int:
     scale = max(v[0], 1.0)
     if (v < -1e-12 * scale).any() or (np.diff(v) > 1e-12 * scale).any():
         raise ValueError("values must be non-increasing and nonnegative")
+    v = np.where(v <= _ZERO_ULPS * np.finfo(float).eps * v.size * max(v[0], 0.0), 0.0, v)
     num = v[:r_max]
     den = v[1:r_max + 1] + penalty
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -131,8 +134,6 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
     xs = _check_series(x)
     dims = xs.shape[1:]
     n_modes = len(dims)
-    t_len = xs.shape[0]
-    p = math.prod(dims)
 
     notes: list[str] = []
     r_cap = []
@@ -144,7 +145,7 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
             notes.append(f"mode {k}: ratio search capped at {cap} (p_k={p_k})")
         r_cap.append(cap)
 
-    rc = rate_constants(dims, t_len)
+    rc = rate_constants(dims, xs.shape[0])
     if config.robust:
         l_tilde = rc.L_star if config.epsilon_regime == "ge2" else rc.L_star_star
         penalties = [config.c / math.sqrt(l_tilde)] * n_modes
@@ -153,15 +154,7 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
 
     ie = initial_estimator(xs, tuple(min(config.r_max, d) for d in dims))
     mats = list(ie.mats)
-
-    tau = None
-    xnorm2 = None
-    if config.robust:
-        tau = default_tau(xs, ie) if config.tau == "median" else float(config.tau)
-        if not tau > 0:
-            raise ValueError("fixed tau must be > 0")
-        flat = xs.reshape(t_len, -1)
-        xnorm2 = np.einsum("ti,ti->t", flat, flat)
+    huber = _huber_state(xs, ie, config.tau) if config.robust else None
 
     history: list[tuple[int, ...]] = [(config.r_max,) * n_modes]
     spectra: list[np.ndarray] = [np.empty(0)] * n_modes
@@ -169,16 +162,7 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
     for _ in range(config.max_iter):
         current = []
         for k in range(n_modes):
-            g = _sweep_gram(xs, mats, k)
-            if config.robust:
-                core = np.matmul(mats[k].T, g)
-                cnorm2 = np.einsum("tij,tij->t", core, core)
-                w = _weights_from_scales(_scales_from_norms(xs, mats, xnorm2, cnorm2), tau)
-                m = np.einsum("t,tij,tkj->ik", w, g, g, optimize=True)
-            else:
-                m = np.einsum("tij,tkj->ik", g, g, optimize=True)
-            m /= t_len * p * (p // dims[k])
-            pair = sym_eig(m)
+            pair = sym_eig(_sweep_cov(xs, mats, k, huber)[0])
             r_hat = eigenvalue_ratio_pick(pair.values, penalties[k], r_cap[k])
             current.append(r_hat)
             n_cols = min(r_hat + 2, dims[k])

@@ -126,12 +126,28 @@ def series_unfold(xs: np.ndarray, k: int) -> np.ndarray:
 
 
 def series_mode_product(xs: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
-    """Mode-k product applied to every slice of the series."""
-    xs = np.asarray(xs, dtype=float)
+    """Mode-k product applied to every slice of the series.
+
+    Layout contract: the result is C-contiguous whatever the layout of ``xs``.
+    A C-contiguous ``xs`` is contracted in place through reshapes (one GEMM
+    for the trailing mode, a batched matmul otherwise) and is never copied,
+    so a chain of products copies nothing; any other layout is copied to C
+    order once first.
+    """
+    xs = np.ascontiguousarray(xs, dtype=float)
     a = np.asarray(a, dtype=float)
-    if a.shape[1] != xs.shape[k + 1]:
-        raise ValueError(f"a has {a.shape[1]} columns, mode {k} has size {xs.shape[k + 1]}")
-    return np.moveaxis(np.tensordot(xs, a, axes=(k + 1, 1)), -1, k + 1)
+    order = xs.ndim - 1
+    if not 0 <= k < order:
+        raise ValueError(f"mode {k} out of range for order-{order} series")
+    if a.ndim != 2 or a.shape[1] != xs.shape[k + 1]:
+        raise ValueError(f"a must be a matrix with {xs.shape[k + 1]} columns, got {a.shape}")
+    lead = math.prod(xs.shape[:k + 1])
+    trail = math.prod(xs.shape[k + 2:])
+    if trail == 1:
+        out = xs.reshape(lead, a.shape[1]) @ a.T
+    else:
+        out = np.matmul(a, xs.reshape(lead, a.shape[1], trail))
+    return out.reshape(*xs.shape[:k + 1], a.shape[0], *xs.shape[k + 2:])
 
 
 def series_multi_mode_product(xs: np.ndarray, mats, transpose: bool = False) -> np.ndarray:

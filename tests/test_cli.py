@@ -170,6 +170,17 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert code == 4
 
 
+def test_exit_code_numerical_error_on_overflow(tmp_path, capsys):
+    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2))
+    data = tmp_path / "huge.tsrb"
+    write_series(1e160 * ds.observations, data, "binary")
+    code, _, err = run(
+        capsys, "estimate", "--in", str(data), "--ranks", "2,2,2", "--out", str(tmp_path / "est"),
+    )
+    assert code == 4
+    assert err.startswith("error:")
+
+
 def test_exit_code_usage_error(tmp_path, capsys):
     data, _ = write_noiseless(tmp_path)
     code, _, _ = run(

@@ -436,6 +436,28 @@ def test_fit_errors():
         fit(xs, EstimationConfig(ranks=(5, 2)))
 
 
+@pytest.mark.parametrize("method", ["ls", "huber"])
+def test_fit_overflowing_initial_covariance_is_numerical_error(method):
+    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2))
+    with pytest.raises(NumericalError):
+        fit(1e160 * ds.observations, EstimationConfig(ranks=(2, 2, 2), method=method))
+
+
+@pytest.mark.parametrize("method", ["ls", "huber"])
+def test_fit_overflowing_projected_covariance_is_numerical_error(method):
+    # scaled so that the initial Grams stay finite but the projected ones,
+    # up to p_{-k} = 25 times larger on exactly low-rank data, overflow
+    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2, zero_noise=True))
+    x = ds.observations
+    gram_max = max(np.max(np.sum(series_unfold(x, k) ** 2, axis=(0, 2))) for k in range(3))
+    x = x * math.sqrt(0.2 * np.finfo(float).max / gram_max)
+    initial_estimator(x, (2, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # tau floor on exact data
+        with pytest.raises(NumericalError):
+            fit(x, EstimationConfig(ranks=(2, 2, 2), method=method))
+
+
 # --- factor extraction / reconstruction ----------------------------------------
 
 def test_common_components_zero_factors():

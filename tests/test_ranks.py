@@ -6,6 +6,7 @@ import pytest
 
 from rtfa import (
     DgpConfig,
+    NumericalError,
     RankConfig,
     eigenvalue_ratio_pick,
     estimate_ranks,
@@ -62,6 +63,18 @@ def test_ratio_pick_penalty_flattens_tail():
     values = [5.0, 1e-12, 1e-13, 1e-14, 1e-15]
     assert eigenvalue_ratio_pick(values, 0.0, 4) in (1, 2)
     assert eigenvalue_ratio_pick(values, 0.01, 4) == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.159, 0.033, -1.5e-19, -4.9e-18, -6.3e-17],  # rounding noise below zero
+        [0.159, 0.033, 1e-19, 1e-40, 0.0],  # rounding noise above zero
+    ],
+)
+def test_ratio_pick_ignores_rounding_noise_in_tail(values):
+    # values at or below 64 eps n values[0] count as exactly 0: 0.033 / 0 wins
+    assert eigenvalue_ratio_pick(values, 0.0, 4) == 2
 
 
 def test_ratio_pick_errors():
@@ -169,6 +182,13 @@ def test_estimate_ranks_clamps_thin_modes():
     assert result.ranks == (2, 2, 2)
     assert any("capped" in note or "clamped" in note for note in result.warnings)
     assert all(1 <= r <= 4 for r in result.ranks)
+
+
+@pytest.mark.parametrize("method", ["ls", "huber"])
+def test_estimate_ranks_overflow_is_numerical_error(method):
+    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2))
+    with pytest.raises(NumericalError):
+        estimate_ranks(1e160 * ds.observations, RankConfig(r_max=3, method=method))
 
 
 def test_estimate_ranks_regimes_differ_only_in_penalty():

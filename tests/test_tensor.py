@@ -242,3 +242,52 @@ def test_series_multi_mode_product_matches_per_slice():
     out = series_multi_mode_product(xs, mats)
     for t in range(4):
         assert np.allclose(out[t], multi_mode_product(xs[t], mats), atol=1e-13)
+
+
+SERIES_LAYOUTS = {
+    "c": lambda xs: xs,
+    "reversed_mode": lambda xs: xs[:, ::-1],
+    "fortran": np.asfortranarray,
+    "time_not_outermost": lambda xs: np.ascontiguousarray(np.swapaxes(xs, 0, 1)).swapaxes(0, 1),
+}
+SERIES_DIMS = [(5,), (4, 3), (3, 4, 2), (2, 3, 2, 4)]
+
+
+@pytest.mark.parametrize("layout", SERIES_LAYOUTS)
+@pytest.mark.parametrize("dims", SERIES_DIMS)
+def test_series_mode_product_every_mode_and_layout(dims, layout):
+    xs = SERIES_LAYOUTS[layout](rng.standard_normal((3, *dims)))
+    for k, p_k in enumerate(dims):
+        for d in (p_k - 1, p_k, p_k + 2):
+            a = rng.standard_normal((d, p_k))
+            out = series_mode_product(xs, k, a)
+            assert out.flags.c_contiguous
+            assert out.shape == (3, *dims[:k], d, *dims[k + 1:])
+            for t in range(3):
+                assert np.allclose(out[t], mode_product(xs[t], k, a), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("layout", SERIES_LAYOUTS)
+@pytest.mark.parametrize("dims", SERIES_DIMS)
+def test_series_multi_mode_product_every_layout(dims, layout):
+    xs = SERIES_LAYOUTS[layout](rng.standard_normal((3, *dims)))
+    mats = [rng.standard_normal((p_k + (k % 3) - 1, p_k)) for k, p_k in enumerate(dims)]
+    out = series_multi_mode_product(xs, mats)
+    back = series_multi_mode_product(out, mats, transpose=True)
+    assert out.flags.c_contiguous and back.flags.c_contiguous
+    for t in range(3):
+        assert np.allclose(out[t], multi_mode_product(xs[t], mats), rtol=0, atol=1e-13)
+        assert np.allclose(back[t], multi_mode_product(out[t], mats, transpose=True),
+                           rtol=0, atol=1e-12)
+
+
+def test_series_mode_product_errors():
+    xs = rng.standard_normal((4, 3, 4, 2))
+    with pytest.raises(ValueError):
+        series_mode_product(xs, 3, rng.standard_normal((2, 2)))
+    with pytest.raises(ValueError):
+        series_mode_product(xs, -1, rng.standard_normal((2, 2)))
+    with pytest.raises(ValueError):
+        series_mode_product(xs, 1, rng.standard_normal((2, 3)))
+    with pytest.raises(ValueError):
+        series_mode_product(xs, 1, rng.standard_normal(4))
