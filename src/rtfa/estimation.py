@@ -52,6 +52,15 @@ class LoadingSet:
         return tuple(a.shape[1] for a in self.mats)
 
 
+def _check_tau(tau) -> None:
+    """A robust threshold setting is "median" or a positive number."""
+    if isinstance(tau, str):
+        if tau != "median":
+            raise ValueError(f"tau must be 'median' or a positive number, got {tau!r}")
+    elif not tau > 0:
+        raise ValueError("fixed tau must be > 0")
+
+
 @dataclass(frozen=True)
 class EstimationConfig:
     """Settings for :func:`fit`.
@@ -76,11 +85,7 @@ class EstimationConfig:
             raise ValueError("max_iter must be >= 1")
         if self.tol < 0:
             raise ValueError("tol must be >= 0")
-        if not isinstance(self.tau, str):
-            if not self.tau > 0:
-                raise ValueError("fixed tau must be > 0")
-        elif self.tau != "median":
-            raise ValueError(f"tau must be 'median' or a positive number, got {self.tau!r}")
+        _check_tau(self.tau)
 
     @property
     def robust(self) -> bool:
@@ -99,7 +104,11 @@ class EstimationResult:
 
 
 def _check_series(x: np.ndarray) -> np.ndarray:
-    """The validated series, C-contiguous so that mode products never copy it."""
+    """The validated series, C-contiguous so that mode products never copy it.
+
+    The public functions that take a series validate it here, except when a
+    caller in this package that has validated it already (:func:`fit`,
+    :func:`estimate_ranks`, :func:`default_tau`) passes ``_checked=True``."""
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim < 2:
         raise ValueError("expected a series of tensors with time on the leading axis")
@@ -110,13 +119,13 @@ def _check_series(x: np.ndarray) -> np.ndarray:
     return xs
 
 
-def initial_estimator(x: np.ndarray, ranks) -> LoadingSet:
+def initial_estimator(x: np.ndarray, ranks, *, _checked: bool = False) -> LoadingSet:
     """Per-mode loadings from the unprojected sample covariances.
 
     A_k = sqrt(p_k) x leading r_k eigenvectors of
     sum_t unfold(X_t, k) @ unfold(X_t, k).T / (T p).
     """
-    xs = _check_series(x)
+    xs = x if _checked else _check_series(x)
     dims = xs.shape[1:]
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != len(dims):
@@ -209,7 +218,7 @@ def _scales_from_norms(xs, mats, xnorm2, cnorm2) -> np.ndarray:
     return s
 
 
-def residual_scales(x: np.ndarray, loadings: LoadingSet) -> np.ndarray:
+def residual_scales(x: np.ndarray, loadings: LoadingSet, *, _checked: bool = False) -> np.ndarray:
     """Per-slice residual scale ||X_t - X_t projected onto the loadings||_F / sqrt(p).
 
     Computed through the trace identity ||X_t||^2 - ||core_t||^2 / p without
@@ -219,7 +228,7 @@ def residual_scales(x: np.ndarray, loadings: LoadingSet) -> np.ndarray:
     64 eps ||X_t|| / sqrt(p) is rounding noise and is returned as exactly 0, so
     exactly low-rank slices have zero scale on any BLAS.
     """
-    xs = _check_series(x)
+    xs = x if _checked else _check_series(x)
     flat = xs.reshape(xs.shape[0], -1)
     core = series_multi_mode_product(xs, loadings.mats, transpose=True)
     cflat = core.reshape(core.shape[0], -1)
@@ -241,7 +250,7 @@ def huber_weights(x: np.ndarray, loadings: LoadingSet, tau: float) -> np.ndarray
     return _weights_from_scales(residual_scales(x, loadings), tau)
 
 
-def default_tau(x: np.ndarray, loadings: LoadingSet) -> float:
+def default_tau(x: np.ndarray, loadings: LoadingSet, *, _checked: bool = False) -> float:
     """Median of the per-slice residual scales (the median rule).
 
     Exactly low-rank data have all-zero scales: :func:`residual_scales` takes
@@ -249,16 +258,17 @@ def default_tau(x: np.ndarray, loadings: LoadingSet) -> float:
     64 eps ||X_t|| / sqrt(p).  When the median scale is zero the threshold
     falls back to a floor of 1e-12 and a RuntimeWarning is emitted.
     """
-    med = float(np.median(residual_scales(x, loadings)))
+    xs = x if _checked else _check_series(x)
+    med = float(np.median(residual_scales(xs, loadings, _checked=True)))
     if med <= 0.0:
         warnings.warn("all residual scales are zero; tau floored at 1e-12", RuntimeWarning)
         return 1e-12
     return med
 
 
-def extract_factors(x: np.ndarray, loadings: LoadingSet) -> np.ndarray:
+def extract_factors(x: np.ndarray, loadings: LoadingSet, *, _checked: bool = False) -> np.ndarray:
     """Factor cores F_t = X_t x_1 A_1.T ... x_K A_K.T / p."""
-    xs = _check_series(x)
+    xs = x if _checked else _check_series(x)
     p = math.prod(xs.shape[1:])
     return series_multi_mode_product(xs, loadings.mats, transpose=True) / p
 
@@ -270,10 +280,9 @@ def common_components(loadings: LoadingSet, factors: np.ndarray) -> np.ndarray:
 
 def _huber_state(xs: np.ndarray, ie: LoadingSet, tau) -> tuple[float, np.ndarray]:
     """(tau, ||X_t||^2) for a robust sweep: tau by the median rule at the
-    initial estimator ``ie``, or the fixed positive value given."""
-    tau = default_tau(xs, ie) if tau == "median" else float(tau)
-    if not tau > 0:
-        raise ValueError("fixed tau must be > 0")
+    initial estimator ``ie``, or the fixed value given (checked by the
+    config's :func:`_check_tau`)."""
+    tau = default_tau(xs, ie, _checked=True) if tau == "median" else float(tau)
     flat = xs.reshape(xs.shape[0], -1)
     return tau, np.einsum("ti,ti->t", flat, flat)
 
@@ -318,7 +327,7 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
     dims = xs.shape[1:]
     n_modes = len(dims)
 
-    ie = initial_estimator(xs, config.ranks)
+    ie = initial_estimator(xs, config.ranks, _checked=True)
     mats = list(ie.mats)
     huber = _huber_state(xs, ie, config.tau) if config.robust else None
 
@@ -349,7 +358,7 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
             break
 
     loadings = LoadingSet(tuple(mats))
-    factors = extract_factors(xs, loadings)
+    factors = extract_factors(xs, loadings, _checked=True)
     diagnostics = None
     if config.record_diagnostics:
         diagnostics = {"warnings": rank_warnings, "eigenvalues": eigenvalues}

@@ -110,11 +110,14 @@ def loading_distance_matrix(a: np.ndarray) -> np.ndarray:
     """Pairwise distances between the p entities' loading vectors.
 
     Each of the r coordinates is standardized by its sample variance across
-    entities; zero-variance coordinates are dropped with a warning.
+    entities; zero-variance coordinates are dropped with a warning.  Raises
+    ValueError on a non-finite loading.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a p x r loading matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite entries in loading matrix")
     var = a.var(axis=0, ddof=1)
     keep = var > 0
     if not keep.any():
@@ -138,28 +141,54 @@ class ClusterTree:
 
 
 def complete_linkage(d: np.ndarray) -> ClusterTree:
-    """Agglomerative clustering with max-pairwise (complete) linkage."""
+    """Agglomerative clustering with max-pairwise (complete) linkage.
+
+    Each merge joins the two active clusters at the smallest linkage height;
+    among tied pairs the lowest (u, v) by label wins, u < v.  Heights are
+    updated by the Lance-Williams rule for complete linkage: the merged
+    cluster's distance to any other is the larger of its two parts', so every
+    height is exactly a maximum of entries of ``d``.  O(n^2) memory, one row
+    update per merge.
+
+    ``d`` must be square, finite and symmetric within 1e-12 of its largest
+    magnitude; its upper triangle is used.  Raises ValueError otherwise.
+    """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
+    if not np.isfinite(d).all():
+        raise ValueError("non-finite entries in distance matrix")
     scale = max(1.0, float(np.max(np.abs(d)))) if d.size else 1.0
     if float(np.max(np.abs(d - d.T), initial=0.0)) > 1e-12 * scale:
         raise ValueError("distance matrix must be symmetric")
     n = d.shape[0]
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    # Slot i holds the active cluster labelled label[i]; the diagonal and
+    # merged-away slots are +inf, so they never attain a row minimum.
+    dist = np.where(np.tri(n, k=-1, dtype=bool), d.T, d)
+    np.fill_diagonal(dist, np.inf)
+    label = np.arange(n)
+    row_min = dist.min(axis=1, initial=np.inf)
     merges: list[tuple[int, int, float]] = []
-    next_id = n
-    while len(members) > 1:
-        ids = sorted(members)
-        best = None
-        for ai in range(len(ids) - 1):
-            for bi in range(ai + 1, len(ids)):
-                u, v = ids[ai], ids[bi]
-                h = max(d[i, j] for i in members[u] for j in members[v])
-                if best is None or h < best[0]:
-                    best = (h, u, v)
-        h, u, v = best
-        merges.append((u, v, float(h)))
-        members[next_id] = members.pop(u) + members.pop(v)
-        next_id += 1
+    for step in range(n - 1):
+        h = row_min.min()
+        # The rows attaining h are exactly the endpoints of the tied pairs, so
+        # u is the lowest label among them and v its lowest-labelled partner.
+        tied = np.flatnonzero(row_min == h)
+        a = tied[np.argmin(label[tied])]
+        partners = np.flatnonzero(dist[a] == h)
+        b = partners[np.argmin(label[partners])]
+        merges.append((int(label[a]), int(label[b]), float(h)))
+        merged = np.maximum(dist[a], dist[b])  # +inf at a and b themselves
+        # Column a rises to ``merged`` and column b to +inf, so a row minimum
+        # can only rise, and only where it sat in column a or b and ``merged``
+        # exceeds it; recompute those rows.  This leaves out merged-away rows,
+        # whose minimum is +inf.
+        sat = (dist[:, a] == row_min) | (dist[:, b] == row_min)
+        stale = np.flatnonzero(sat & (merged > row_min))
+        dist[a] = merged
+        dist[:, a] = merged
+        dist[b] = np.inf
+        dist[:, b] = np.inf
+        label[a] = n + step
+        row_min[stale] = dist[stale].min(axis=1)
     return ClusterTree(merges, labels=list(range(n)))

@@ -13,6 +13,7 @@ from .estimation import (
     _METHODS,
     _ZERO_ULPS,
     _check_series,
+    _check_tau,
     _huber_state,
     _sweep_cov,
     initial_estimator,
@@ -48,6 +49,7 @@ class RankConfig:
             raise ValueError(f"unknown epsilon_regime {self.epsilon_regime!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        _check_tau(self.tau)
 
     @property
     def robust(self) -> bool:
@@ -152,7 +154,7 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
     else:
         penalties = [config.c / math.sqrt(w) for w in rc.omega]
 
-    ie = initial_estimator(xs, tuple(min(config.r_max, d) for d in dims))
+    ie = initial_estimator(xs, tuple(min(config.r_max, d) for d in dims), _checked=True)
     mats = list(ie.mats)
     huber = _huber_state(xs, ie, config.tau) if config.robust else None
 

@@ -279,3 +279,14 @@ def test_loadings_read_back_normalized(tmp_path, capsys):
     a = read_matrix(tmp_path / "est_loading1.mtx")
     gram = a.T @ a / a.shape[0]
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-8
+
+
+def test_analyze_cluster_non_finite_loading_is_usage_error(tmp_path, capsys):
+    a = np.random.default_rng(10).standard_normal((6, 2))
+    a[2, 1] = np.nan
+    loadings = tmp_path / "a.mtx"
+    write_matrix(a, loadings)
+    code, _, err = run(capsys, "analyze", "--loadings", str(loadings), "--cluster")
+    assert code == 2
+    assert "non-finite" in err
+    assert not (tmp_path / "a_clusters.csv").exists()

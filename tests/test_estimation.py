@@ -471,3 +471,33 @@ def test_common_components_matches_mode_products():
     out = common_components(loadings, factors)
     for t in range(6):
         assert np.allclose(out[t], multi_mode_product(factors[t], loadings.mats), atol=1e-13)
+
+
+def test_huber_fit_validates_series_once(monkeypatch):
+    from rtfa import estimation
+
+    calls = []
+
+    def counting(x, _check=estimation._check_series):
+        calls.append(1)
+        return _check(x)
+
+    monkeypatch.setattr(estimation, "_check_series", counting)
+    ds = gen_dataset(DgpConfig(dims=(6, 6, 6), T=20, ranks=(2, 2, 2), seed=31))
+    fit(ds.observations, EstimationConfig(ranks=(2, 2, 2), method="huber"))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, ls: initial_estimator(x, (2, 2)),
+    lambda x, ls: residual_scales(x, ls),
+    lambda x, ls: default_tau(x, ls),
+    lambda x, ls: huber_weights(x, ls, 1.0),
+    lambda x, ls: extract_factors(x, ls),
+    lambda x, ls: projection_cov(x, 0, np.eye(4)[:, :2]),
+])
+def test_public_series_functions_reject_non_finite(call):
+    bad = rng.standard_normal((10, 4, 4))
+    bad[3, 1, 2] = np.inf
+    with pytest.raises(NumericalError):
+        call(bad, identity_loadings((4, 4), (2, 2)))

@@ -286,3 +286,95 @@ def test_complete_linkage_matches_scipy_cophenet(case):
     z = linkage(squareform(d, checks=False), method="complete")
     theirs = squareform(cophenet(z))
     assert np.max(np.abs(mine - theirs)) <= 1e-10
+
+
+def test_loading_distance_rejects_non_finite():
+    a = rng.standard_normal((5, 3))
+    a[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        loading_distance_matrix(a)
+    a[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        loading_distance_matrix(a)
+
+
+def pair_rescan_linkage(d: np.ndarray) -> list[tuple[int, int, float]]:
+    """Reference complete linkage: on each merge, rescan every member pair of
+    every pair of active clusters in label order; the first pair at the
+    smallest height, i.e. the lowest (u, v), wins."""
+    n = d.shape[0]
+    members = {i: [i] for i in range(n)}
+    merges = []
+    next_id = n
+    while len(members) > 1:
+        ids = sorted(members)
+        best = None
+        for ai in range(len(ids) - 1):
+            for bi in range(ai + 1, len(ids)):
+                u, v = ids[ai], ids[bi]
+                h = max(d[i, j] for i in members[u] for j in members[v])
+                if best is None or h < best[0]:
+                    best = (h, u, v)
+        h, u, v = best
+        merges.append((u, v, float(h)))
+        members[next_id] = members.pop(u) + members.pop(v)
+        next_id += 1
+    return merges
+
+
+def city_block(n, levels, seed):
+    pts = np.random.default_rng(seed).integers(0, levels, size=(n, 3))
+    return np.abs(pts[:, None] - pts[None, :]).sum(axis=-1).astype(float)
+
+
+@pytest.mark.parametrize("d", [
+    city_block(40, 3, 1),
+    city_block(40, 4, 2),
+    np.zeros((12, 12)),
+    np.full((10, 10), 2.5) - np.diag(np.full(10, 2.5)),
+    loading_distance_matrix(np.random.default_rng(3).standard_normal((60, 3))),
+], ids=["ties-40a", "ties-40b", "all-zero", "constant", "loadings-60"])
+def test_complete_linkage_equals_pair_rescan(d):
+    assert complete_linkage(d).merges == pair_rescan_linkage(d)
+
+
+def test_complete_linkage_tie_goes_to_lowest_labels():
+    # (0, 1) and (2, 3) merge at 1 into clusters 6 and 7; then (4, 5) and
+    # (6, 7) tie at 5, and (4, 5) has the lower labels.
+    d = np.full((6, 6), 9.0)
+    np.fill_diagonal(d, 0.0)
+    for i, j, h in [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 5.0),
+                    (0, 2, 5.0), (0, 3, 5.0), (1, 2, 5.0), (1, 3, 5.0)]:
+        d[i, j] = d[j, i] = h
+    expect = [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 5.0), (6, 7, 5.0), (8, 9, 9.0)]
+    assert complete_linkage(d).merges == expect
+    assert pair_rescan_linkage(d) == expect
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_complete_linkage_rejects_non_finite(bad):
+    d = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        complete_linkage(d)
+
+
+def test_complete_linkage_uses_upper_triangle():
+    d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+    skewed = d.copy()
+    skewed[2, 0] += 1e-13  # within the symmetry tolerance
+    assert complete_linkage(skewed).merges == complete_linkage(d).merges
+    skewed = d.copy()
+    skewed[0, 2] += 1e-13
+    assert complete_linkage(skewed).merges[-1][2] == 3.0 + 1e-13
+
+
+def test_complete_linkage_no_merges_below_two_points():
+    assert complete_linkage(np.zeros((1, 1))).merges == []
+    assert complete_linkage(np.zeros((0, 0))).merges == []
+
+
+def test_complete_linkage_matches_scipy_cophenet_n200():
+    d = loading_distance_matrix(np.random.default_rng(210).standard_normal((200, 3)))
+    mine = cophenetic_matrix(complete_linkage(d), 200)
+    z = linkage(squareform(d, checks=False), method="complete")
+    assert np.max(np.abs(mine - squareform(cophenet(z)))) <= 1e-10

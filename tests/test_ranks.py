@@ -203,3 +203,25 @@ def test_estimate_ranks_fixed_tau():
     ds = gen_dataset(DgpConfig(dims=(8, 8, 8), T=60, ranks=(2, 2, 2), seed=28))
     result = estimate_ranks(ds.observations, RankConfig(r_max=6, method="huber", tau=2.0))
     assert result.ranks == (2, 2, 2)
+
+
+@pytest.mark.parametrize("tau", [-1.0, 0.0, "mean"])
+def test_rank_config_rejects_bad_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        RankConfig(method="huber", tau=tau)
+
+
+def test_estimate_ranks_validates_series_once(monkeypatch):
+    from rtfa import estimation, ranks
+
+    calls = []
+
+    def counting(x, _check=estimation._check_series):
+        calls.append(1)
+        return _check(x)
+
+    monkeypatch.setattr(estimation, "_check_series", counting)
+    monkeypatch.setattr(ranks, "_check_series", counting)
+    ds = gen_dataset(DgpConfig(dims=(6, 6, 6), T=20, ranks=(2, 2, 2), seed=31))
+    estimate_ranks(ds.observations, RankConfig(r_max=3, method="huber"))
+    assert len(calls) == 1
