@@ -1,32 +1,30 @@
 """Tensor-series and matrix file formats.
 
-Series, text encoding::
+Series, text: a line ``TSR 1 text``, a line ``K p_1 ... p_K T``, then T lines
+of p values (one slice each, entries in storage order, %.17g).
 
-    TSR 1 text
-    K p_1 ... p_K T
-    <p values>          (T lines, slice entries in storage order, %.17g)
+Series, binary: magic ``TSRB``, version byte 1, u32 K, K u32 dims, u64 T,
+then T*p little-endian f64 in the same order.
 
-Series, binary encoding: magic ``TSRB``, version byte 1, u32 K, K u32 dims,
-u64 T, then T*p little-endian f64 in the same order.
+Matrix, text: a line ``MTX 1``, a line ``rows cols``, then one line of cols
+values per row.
 
-Matrix, text::
-
-    MTX 1
-    rows cols
-    <cols values>       (rows lines)
+Text payload values are whitespace-separated, in ``float`` syntax without
+underscores. Blank lines are ignored; any other layout, including an empty
+payload, is a ``FileFormatError``. Writers reject a zero-length axis.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 
 _MAGIC = b"TSRB"
 _VERSION = 1
 _U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
 
 
 class FileFormatError(Exception):
@@ -43,23 +41,49 @@ def _from_storage_flat(data: np.ndarray, dims: tuple[int, ...], t_len: int) -> n
     return np.ascontiguousarray(np.moveaxis(shaped, -1, 0))
 
 
+def _write_rows(fh, rows: np.ndarray) -> None:
+    # one template per row: a whole-payload tuple would box every value at once
+    template = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    for row in rows:
+        fh.write(template % tuple(row.tolist()))
+
+
+def _read_rows(fh, rows: int, cols: int) -> np.ndarray:
+    try:
+        with warnings.catch_warnings():
+            # an empty payload warns; the shape check below reports it instead
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FileFormatError(f"bad text payload: {exc}") from exc
+    if data.shape != (rows, cols):
+        raise FileFormatError(f"payload shape {data.shape}, expected ({rows}, {cols})")
+    return data
+
+
+def _read_header(fh, magic: str) -> list[int]:
+    if fh.readline().split() != magic.split():
+        raise FileFormatError(f"bad {magic!r} header")
+    try:
+        return [int(v) for v in fh.readline().split()]
+    except ValueError as exc:
+        raise FileFormatError("bad dimension line") from exc
+
+
 def write_series(series: np.ndarray, path, encoding: str = "binary") -> None:
     """Write a (T, p_1..p_K) series in the text or binary format."""
     series = np.asarray(series, dtype=float)
-    if series.ndim < 2:
-        raise ValueError("series must have a time axis plus at least one mode")
+    if series.ndim < 2 or 0 in series.shape:
+        raise ValueError("series must have a time axis plus at least one mode, none empty")
     t_len, dims = series.shape[0], series.shape[1:]
-    if len(dims) > _U32_MAX or any(d > _U32_MAX for d in dims) or t_len > _U64_MAX:
+    if any(d > _U32_MAX for d in dims):
         raise FileFormatError("dimension overflow for the series format")
     flat = _storage_flat(series)
     if encoding == "text":
-        p = math.prod(dims)
         with open(path, "w") as fh:
             fh.write("TSR 1 text\n")
             fh.write(" ".join(str(v) for v in (len(dims), *dims, t_len)) + "\n")
-            for t in range(t_len):
-                chunk = flat[t * p:(t + 1) * p]
-                fh.write(" ".join(f"{v:.17g}" for v in chunk) + "\n")
+            _write_rows(fh, flat.reshape(t_len, -1))
     elif encoding == "binary":
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
@@ -74,13 +98,7 @@ def write_series(series: np.ndarray, path, encoding: str = "binary") -> None:
 
 def _read_text_series(path) -> np.ndarray:
     with open(path, "r") as fh:
-        header = fh.readline().split()
-        if header != ["TSR", "1", "text"]:
-            raise FileFormatError("bad text series header")
-        try:
-            nums = [int(v) for v in fh.readline().split()]
-        except ValueError as exc:
-            raise FileFormatError("bad dimension line") from exc
+        nums = _read_header(fh, "TSR 1 text")
         if len(nums) < 3:
             raise FileFormatError("bad dimension line")
         k = nums[0]
@@ -90,14 +108,8 @@ def _read_text_series(path) -> np.ndarray:
         t_len = nums[-1]
         if any(d < 1 for d in dims) or t_len < 1:
             raise FileFormatError("dimensions must be positive")
-        try:
-            data = np.array([float(v) for v in fh.read().split()])
-        except ValueError as exc:
-            raise FileFormatError("non-numeric payload") from exc
-    expected = t_len * math.prod(dims)
-    if data.size != expected:
-        raise FileFormatError(f"truncated payload: expected {expected} values, found {data.size}")
-    return _from_storage_flat(data, dims, t_len)
+        data = _read_rows(fh, t_len, math.prod(dims))
+    return _from_storage_flat(data.ravel(), dims, t_len)
 
 
 def _read_binary_series(path) -> np.ndarray:
@@ -146,29 +158,17 @@ def read_series(path) -> np.ndarray:
 def write_matrix(a: np.ndarray, path) -> None:
     """Write a matrix in the 2-line-header text format."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError("expected a matrix with no zero-length axis")
     with open(path, "w") as fh:
         fh.write("MTX 1\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        _write_rows(fh, a)
 
 
 def read_matrix(path) -> np.ndarray:
     with open(path, "r") as fh:
-        if fh.readline().split() != ["MTX", "1"]:
-            raise FileFormatError("bad matrix header")
-        try:
-            rows, cols = (int(v) for v in fh.readline().split())
-        except ValueError as exc:
-            raise FileFormatError("bad matrix shape line") from exc
-        if rows < 1 or cols < 1:
-            raise FileFormatError("matrix shape must be positive")
-        try:
-            data = np.array([float(v) for v in fh.read().split()])
-        except ValueError as exc:
-            raise FileFormatError("non-numeric payload") from exc
-    if data.size != rows * cols:
-        raise FileFormatError(f"truncated payload: expected {rows * cols} values, found {data.size}")
-    return data.reshape(rows, cols)
+        shape = _read_header(fh, "MTX 1")
+        if len(shape) != 2 or min(shape) < 1:
+            raise FileFormatError("matrix shape must be two positive integers")
+        return _read_rows(fh, *shape)
