@@ -58,12 +58,9 @@ def _parse_tau(text: str):
     if text == "median":
         return "median"
     try:
-        val = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tau must be 'median' or a number, got {text!r}")
-    if not val > 0:
-        raise argparse.ArgumentTypeError("fixed tau must be > 0")
-    return val
 
 
 def _resolve_workers(flag_value: int) -> int:
@@ -198,6 +195,10 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+# The aggregate rows each table reports, by metric-name prefix.
+_TABLE_METRIC = {1: "distance", 2: "distance", 3: "mse", 4: "exact"}
+
+
 def _replicate_cells(table: int):
     """(noise_law, method) pairs per table, plus whether cells estimate or rank."""
     if table in (1, 3):
@@ -227,15 +228,9 @@ def _cmd_replicate(args) -> int:
             else:
                 est = RankConfig(r_max=8, c=0.0, method=method)
             result = run_monte_carlo(dgp, est, reps=args.reps, workers=workers)
-            wanted = {
-                1: lambda name: name.startswith("distance"),
-                2: lambda name: name.startswith("distance"),
-                3: lambda name: name == "mse",
-                4: lambda name: name == "exact",
-            }[args.table]
             noise_label = "normal" if law == "tensor_normal" else "t3"
             for name, mean, sd in result.aggregate:
-                if wanted(name):
+                if name.startswith(_TABLE_METRIC[args.table]):
                     out_rows.append(
                         [args.table, args.setting, noise_label, t_len, method,
                          name, f"{mean:.17g}", f"{sd:.17g}"]

@@ -19,7 +19,7 @@ from .eig import sym_eig
 from .metrics import subspace_distance
 from .tensor import series_mode_product, series_multi_mode_product, series_unfold
 
-_METHODS = {"ls", "least_squares", "huber"}
+_METHODS = ("ls", "huber")
 
 
 class NumericalError(ValueError):
@@ -52,17 +52,28 @@ class LoadingSet:
         return tuple(a.shape[1] for a in self.mats)
 
 
-def _check_tau(tau) -> None:
-    """A robust threshold setting is "median" or a positive number."""
-    if isinstance(tau, str):
-        if tau != "median":
-            raise ValueError(f"tau must be 'median' or a positive number, got {tau!r}")
-    elif not tau > 0:
-        raise ValueError("fixed tau must be > 0")
+class _SweepSettings:
+    """What :class:`EstimationConfig` and ``ranks.RankConfig`` share: the
+    ``method``, ``max_iter`` and ``tau`` checks and the ``robust`` flag."""
+
+    def _check_sweep_settings(self) -> None:
+        if self.method not in _METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if isinstance(self.tau, str):
+            if self.tau != "median":
+                raise ValueError(f"tau must be 'median' or a positive number, got {self.tau!r}")
+        elif not self.tau > 0:
+            raise ValueError("fixed tau must be > 0")
+
+    @property
+    def robust(self) -> bool:
+        return self.method == "huber"
 
 
 @dataclass(frozen=True)
-class EstimationConfig:
+class EstimationConfig(_SweepSettings):
     """Settings for :func:`fit`.
 
     method: "ls" (least squares) or "huber" (robust weighting).
@@ -79,17 +90,9 @@ class EstimationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
+        self._check_sweep_settings()
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
-        _check_tau(self.tau)
-
-    @property
-    def robust(self) -> bool:
-        return self.method == "huber"
 
 
 @dataclass
@@ -107,8 +110,9 @@ def _check_series(x: np.ndarray) -> np.ndarray:
     """The validated series, C-contiguous so that mode products never copy it.
 
     The public functions that take a series validate it here, except when a
-    caller in this package that has validated it already (:func:`fit`,
-    :func:`estimate_ranks`, :func:`default_tau`) passes ``_checked=True``."""
+    caller in this package has validated it already and passes
+    ``_checked=True``: :func:`fit` and ``estimate_ranks`` validate once and
+    hand the series on, through :func:`_sweeps`, to the functions they call."""
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim < 2:
         raise ValueError("expected a series of tensors with time on the leading axis")
@@ -278,20 +282,11 @@ def common_components(loadings: LoadingSet, factors: np.ndarray) -> np.ndarray:
     return series_multi_mode_product(np.asarray(factors, dtype=float), loadings.mats)
 
 
-def _huber_state(xs: np.ndarray, ie: LoadingSet, tau) -> tuple[float, np.ndarray]:
-    """(tau, ||X_t||^2) for a robust sweep: tau by the median rule at the
-    initial estimator ``ie``, or the fixed value given (checked by the
-    config's :func:`_check_tau`)."""
-    tau = default_tau(xs, ie, _checked=True) if tau == "median" else float(tau)
-    flat = xs.reshape(xs.shape[0], -1)
-    return tau, np.einsum("ti,ti->t", flat, flat)
-
-
 def _sweep_cov(xs: np.ndarray, mats: list[np.ndarray], k: int, huber=None):
     """(sum_t w_t X_{k,t} B_k B_k.T X_{k,t}.T / (T p p_{-k}), w): the projected
     mode-k covariance of one sweep step, X_t contracted by the other modes'
-    loadings in ``mats``.  With ``huber`` from :func:`_huber_state`, w holds the
-    Huber weights of the residual scales under ``mats``; else w_t = 1, w None.
+    loadings in ``mats``.  With ``huber`` = (tau, ||X_t||^2), w holds the Huber
+    weights of the residual scales under ``mats``; else w_t = 1, w None.
     """
     dims = xs.shape[1:]
     proj = xs
@@ -306,16 +301,46 @@ def _sweep_cov(xs: np.ndarray, mats: list[np.ndarray], k: int, huber=None):
     return _gram(proj, k, w) / (xs.size * (xs[0].size // dims[k])), w
 
 
+def _sweeps(xs: np.ndarray, ranks, config, keep):
+    """The alternating projection that :func:`fit` and ``estimate_ranks`` run.
+
+    Starts from :func:`initial_estimator` at ``ranks`` on the validated series
+    ``xs``.  Each sweep updates the modes in order: mode k's projection factor
+    is built from the current sweep's loadings for modes before k and the
+    previous sweep's for modes after k.  Under a robust ``config`` the slice
+    weights w are recomputed from the previous mode-k loading and that mixed
+    projection factor before each update, with tau from :func:`default_tau`
+    at the initial estimator or the fixed value configured.  Mode k's new
+    loading is sqrt(p_k) times the leading ``keep(k, pair, w)`` eigenvectors
+    of the projected covariance, whose full :func:`sym_eig` is ``pair``.
+
+    Yields (loadings before the sweep, loadings after it, tau or None) once
+    per sweep, at most ``config.max_iter`` times; the caller stops early by
+    leaving the loop.
+    """
+    dims = xs.shape[1:]
+    ie = initial_estimator(xs, ranks, _checked=True)
+    mats = list(ie.mats)
+    tau = huber = None
+    if config.robust:
+        tau = default_tau(xs, ie, _checked=True) if config.tau == "median" else float(config.tau)
+        flat = xs.reshape(len(xs), -1)
+        huber = (tau, np.einsum("ti,ti->t", flat, flat))
+    for _ in range(config.max_iter):
+        prev = list(mats)
+        for k in range(len(dims)):
+            m, w = _sweep_cov(xs, mats, k, huber)
+            pair = sym_eig(m)
+            mats[k] = math.sqrt(dims[k]) * pair.vectors[:, :keep(k, pair, w)]
+        yield prev, mats, tau
+
+
 def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
     """Alternating projection estimation of loadings and factors.
 
-    Starting from :func:`initial_estimator`, each sweep updates the modes in
-    order: mode k's projection factor is built from the current sweep's
-    loadings for modes before k and the previous sweep's for modes after k.
-    Under method "huber" the slice weights are recomputed from the previous
-    mode-k loading and that mixed projection factor before each update.
-    Convergence is declared when the largest per-mode subspace change between
-    sweeps drops below ``config.tol``.
+    Runs the sweeps of :func:`_sweeps`, keeping r_k eigenvectors per mode,
+    until the largest per-mode subspace change between sweeps drops below
+    ``config.tol`` (converged) or ``config.max_iter`` sweeps have run.
 
     Returns
     -------
@@ -324,41 +349,29 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
         loadings, and the resolved robust threshold in ``tau_used``.
     """
     xs = _check_series(x)
-    dims = xs.shape[1:]
-    n_modes = len(dims)
-
-    ie = initial_estimator(xs, config.ranks, _checked=True)
-    mats = list(ie.mats)
-    huber = _huber_state(xs, ie, config.tau) if config.robust else None
-
+    n_modes = xs.ndim - 1
     rank_warnings: list[str] = []
     eigenvalues: list[np.ndarray] = [np.empty(0)] * n_modes
     last_weights: list[np.ndarray] = [np.empty(0)] * n_modes
 
+    def keep(k, pair, w):
+        r = config.ranks[k]
+        if pair.values[r - 1] <= 1e-14 * max(pair.values[0], 1e-300):
+            msg = f"rank-deficient projected covariance at mode {k}"
+            if msg not in rank_warnings:
+                rank_warnings.append(msg)
+                warnings.warn(msg, RuntimeWarning)
+        eigenvalues[k] = pair.values[:r]
+        last_weights[k] = w
+        return r
+
     changes: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iter):
-        prev = list(mats)
-        for k in range(n_modes):
-            m, last_weights[k] = _sweep_cov(xs, mats, k, huber)
-            pair = sym_eig(m, count=config.ranks[k])
-            if pair.values[-1] <= 1e-14 * max(pair.values[0], 1e-300):
-                msg = f"rank-deficient projected covariance at mode {k}"
-                if msg not in rank_warnings:
-                    rank_warnings.append(msg)
-                    warnings.warn(msg, RuntimeWarning)
-            mats[k] = math.sqrt(dims[k]) * pair.vectors
-            eigenvalues[k] = pair.values
-        iterations += 1
-        change = max(subspace_distance(mats[k], prev[k]) for k in range(n_modes))
-        changes.append(change)
-        if change < config.tol:
-            converged = True
+    for prev, mats, tau in _sweeps(xs, config.ranks, config, keep):
+        changes.append(max(subspace_distance(a, b) for a, b in zip(mats, prev)))
+        if changes[-1] < config.tol:
             break
 
     loadings = LoadingSet(tuple(mats))
-    factors = extract_factors(xs, loadings, _checked=True)
     diagnostics = None
     if config.record_diagnostics:
         diagnostics = {"warnings": rank_warnings, "eigenvalues": eigenvalues}
@@ -366,10 +379,10 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
             diagnostics["weights"] = last_weights
     return EstimationResult(
         loadings=loadings,
-        factors=factors,
-        iterations_run=iterations,
+        factors=extract_factors(xs, loadings, _checked=True),
+        iterations_run=len(changes),
         per_iteration_subspace_change=changes,
-        converged=converged,
-        tau_used=huber[0] if huber else None,
+        converged=changes[-1] < config.tol,
+        tau_used=tau,
         diagnostics=diagnostics,
     )

@@ -41,22 +41,6 @@ def subspace_distance(a_hat: np.ndarray, a_true: np.ndarray) -> float:
     return float(np.sqrt(min(max(val, 0.0), 1.0)))
 
 
-def sign_align(a_hat: np.ndarray, a_true: np.ndarray) -> np.ndarray:
-    """Diagonal +-1 matrix aligning estimated column signs with the truth.
-
-    Entry j is the sign of the j-th diagonal of a_true.T @ a_hat / p; exact
-    zeros map to +1.
-    """
-    a_hat = np.asarray(a_hat, dtype=float)
-    a_true = np.asarray(a_true, dtype=float)
-    if a_hat.shape != a_true.shape:
-        raise ValueError(f"shape mismatch: {a_hat.shape} vs {a_true.shape}")
-    p = a_hat.shape[0]
-    d = np.sign(np.einsum("ij,ij->j", a_true, a_hat) / p)
-    d[d == 0] = 1.0
-    return np.diag(d)
-
-
 def mse_common(est: np.ndarray, truth: np.ndarray) -> float:
     """Mean squared entry error: sum_t ||est_t - truth_t||_F^2 / (T p)."""
     est = np.asarray(est, dtype=float)

@@ -8,22 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eig import sym_eig
-from .estimation import (
-    _METHODS,
-    _ZERO_ULPS,
-    _check_series,
-    _check_tau,
-    _huber_state,
-    _sweep_cov,
-    initial_estimator,
-)
+from .estimation import _ZERO_ULPS, _check_series, _sweeps, _SweepSettings
 
 _REGIMES = {"ge2", "lt2"}
 
 
 @dataclass(frozen=True)
-class RankConfig:
+class RankConfig(_SweepSettings):
     """Settings for :func:`estimate_ranks`.
 
     epsilon_regime picks the rate constant entering the robust-path penalty:
@@ -41,19 +32,11 @@ class RankConfig:
     def __post_init__(self):
         if self.r_max < 1:
             raise ValueError("r_max must be >= 1")
-        if self.c < 0:
+        if not self.c >= 0:
             raise ValueError("c must be >= 0")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         if self.epsilon_regime not in _REGIMES:
             raise ValueError(f"unknown epsilon_regime {self.epsilon_regime!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        _check_tau(self.tau)
-
-    @property
-    def robust(self) -> bool:
-        return self.method == "huber"
+        self._check_sweep_settings()
 
 
 @dataclass(frozen=True)
@@ -95,7 +78,7 @@ def eigenvalue_ratio_pick(values, penalty: float, r_max: int) -> int:
         raise ValueError(f"need at least {r_max + 1} eigenvalues, got {v.size}")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    if penalty < 0:
+    if not penalty >= 0:
         raise ValueError("penalty must be >= 0")
     scale = max(v[0], 1.0)
     if (v < -1e-12 * scale).any() or (np.diff(v) > 1e-12 * scale).any():
@@ -123,12 +106,11 @@ class RankResult:
 def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
     """Iterative penalized eigenvalue-ratio selection of (r_1, ..., r_K).
 
-    Starts from the initial estimator at r_max columns per mode and repeats:
-    for each mode, form the projected covariance from the other modes' current
-    loadings (robust path: recompute slice weights first), select the rank by
-    :func:`eigenvalue_ratio_pick`, then renew the mode's loading with the
-    first r_hat + 2 eigenvectors (clamped at p_k).  Stops when the integer
-    rank vector repeats or after ``max_iter`` sweeps.
+    Runs the sweeps of ``estimation._sweeps`` from the initial estimator at
+    r_max columns per mode.  In each sweep, mode k's rank r_hat is picked by
+    :func:`eigenvalue_ratio_pick` from the full spectrum of its projected
+    covariance, and its loading keeps r_hat + 2 eigenvectors (at most p_k).
+    Stops when the integer rank vector repeats or after ``max_iter`` sweeps.
 
     The penalty is c * omega_k^(-1/2) on the least-squares path and
     c * L~^(-1/2) on the robust path, with L~ chosen by epsilon_regime.
@@ -154,26 +136,21 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
     else:
         penalties = [config.c / math.sqrt(w) for w in rc.omega]
 
-    ie = initial_estimator(xs, tuple(min(config.r_max, d) for d in dims), _checked=True)
-    mats = list(ie.mats)
-    huber = _huber_state(xs, ie, config.tau) if config.robust else None
-
     history: list[tuple[int, ...]] = [(config.r_max,) * n_modes]
+    current = [0] * n_modes
     spectra: list[np.ndarray] = [np.empty(0)] * n_modes
+
+    def keep(k, pair, w):
+        current[k] = eigenvalue_ratio_pick(pair.values, penalties[k], r_cap[k])
+        spectra[k] = pair.values
+        if current[k] + 2 > dims[k]:
+            note = f"mode {k}: eigenvector inflation clamped at p_k={dims[k]}"
+            if note not in notes:
+                notes.append(note)
+        return current[k] + 2
+
     converged = False
-    for _ in range(config.max_iter):
-        current = []
-        for k in range(n_modes):
-            pair = sym_eig(_sweep_cov(xs, mats, k, huber)[0])
-            r_hat = eigenvalue_ratio_pick(pair.values, penalties[k], r_cap[k])
-            current.append(r_hat)
-            n_cols = min(r_hat + 2, dims[k])
-            if n_cols < r_hat + 2:
-                note = f"mode {k}: eigenvector inflation clamped at p_k={dims[k]}"
-                if note not in notes:
-                    notes.append(note)
-            mats[k] = math.sqrt(dims[k]) * pair.vectors[:, :n_cols]
-            spectra[k] = pair.values
+    for _ in _sweeps(xs, tuple(min(config.r_max, d) for d in dims), config, keep):
         history.append(tuple(current))
         if history[-1] == history[-2]:
             converged = True

@@ -73,7 +73,6 @@ class SimulatedDataset:
     true_loadings: LoadingSet
     true_factors: np.ndarray
     true_common: np.ndarray
-    raw_loadings: tuple[np.ndarray, ...]
     noise: np.ndarray
 
 
@@ -191,7 +190,6 @@ def gen_dataset(config: DgpConfig, rng: np.random.Generator | None = None) -> Si
         true_loadings=normalized,
         true_factors=true_factors,
         true_common=common,
-        raw_loadings=raw,
         noise=noise,
     )
 

@@ -195,6 +195,22 @@ def test_exit_code_usage_error(tmp_path, capsys):
         main(["bogus"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("rank", "--c", "nan"),
+    ("estimate", "--ranks", "2,2,2", "--tol", "nan"),
+    ("estimate", "--ranks", "2,2,2", "--method", "huber", "--tau", "0"),
+    ("rank", "--method", "huber", "--tau", "-1"),
+])
+def test_exit_code_usage_error_on_bad_setting(tmp_path, capsys, argv):
+    data, _ = write_noiseless(tmp_path)
+    code, out, err = run(capsys, argv[0], "--in", str(data), *argv[1:],
+                         "--out" if argv[0] == "estimate" else "--traces-out",
+                         str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_replicate_table1_small(tmp_path, capsys):
     out1 = tmp_path / "t1.csv"
     out2 = tmp_path / "t2.csv"

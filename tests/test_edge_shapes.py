@@ -53,3 +53,18 @@ def test_estimate_ranks_edge_shape(case, method):
     assert all(np.isfinite(v).all() for v in result.eigenvalues)
     if expected is not None:
         assert result.ranks == expected
+
+
+@pytest.mark.parametrize("method", ["ls", "huber"])
+def test_estimate_ranks_clamps_inflation_at_p_k(method):
+    # r_hat + 2 exceeds p_k in modes 1 (r_hat 3, p_k 4) and 2 (r_hat 1, p_k 2)
+    xs = EDGE_CASES["full_rank"][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # tau floor
+        result = estimate_ranks(xs, RankConfig(r_max=4, method=method))
+    assert result.ranks == (1, 3, 1)
+    clamps = [note for note in result.warnings if "clamped" in note]
+    assert clamps == [
+        "mode 1: eigenvector inflation clamped at p_k=4",
+        "mode 2: eigenvector inflation clamped at p_k=2",
+    ]

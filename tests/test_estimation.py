@@ -77,6 +77,17 @@ def test_config_validation():
     assert not EstimationConfig(ranks=(2, 2), method="ls").robust
 
 
+def test_config_rejects_nan_tol():
+    # change < nan never holds, so a NaN tol would always run max_iter sweeps
+    with pytest.raises(ValueError, match="tol must be"):
+        EstimationConfig(ranks=(2, 2), tol=math.nan)
+
+
+def test_config_rejects_least_squares_alias():
+    with pytest.raises(ValueError, match="unknown method"):
+        EstimationConfig(ranks=(2, 2), method="least_squares")
+
+
 # --- initial estimator ---------------------------------------------------------
 
 def test_initial_estimator_noiseless_rank_one():

@@ -18,7 +18,6 @@ from rtfa import (
     orthonormal_basis,
     relative_mse,
     rolling_validation,
-    sign_align,
     subspace_distance,
 )
 
@@ -89,28 +88,6 @@ def test_distance_rank_deficient():
     a = np.ones((5, 2))
     with pytest.raises(ValueError):
         subspace_distance(a, np.eye(5)[:, :2])
-
-
-def test_sign_align_identity_and_flip():
-    a = rng.standard_normal((6, 3))
-    assert np.array_equal(sign_align(a, a), np.eye(3))
-    assert np.array_equal(sign_align(-a, a), -np.eye(3))
-
-
-def test_sign_align_mixed_flips():
-    a = rng.standard_normal((6, 3))
-    s = np.diag([1.0, -1.0, 1.0])
-    assert np.array_equal(sign_align(a @ s, a), s)
-
-
-def test_sign_align_zero_maps_to_plus():
-    a = np.eye(4)[:, :2]
-    b = np.zeros((4, 2))
-    b[:, 0] = a[:, 0]
-    # second column orthogonal to the truth: zero diagonal -> +1
-    b[:, 1] = np.array([0.0, 0.0, 1.0, 0.0])
-    b = np.eye(4)[:, [0, 2]]
-    assert np.array_equal(sign_align(b, a), np.eye(2))
 
 
 def test_mse_common_zero_and_bias():

@@ -88,6 +88,12 @@ def test_ratio_pick_errors():
         eigenvalue_ratio_pick([3.0, 2.0, 1.0], -0.1, 2)
 
 
+def test_ratio_pick_rejects_nan_penalty():
+    # a NaN penalty would make every ratio NaN, and the pick 1 whatever the values
+    with pytest.raises(ValueError, match="penalty"):
+        eigenvalue_ratio_pick([3.0, 2.0, 0.0], math.nan, 2)
+
+
 def brute_force_pick(values, penalty, r_max):
     best_j = 1
     best = None
@@ -127,6 +133,16 @@ def test_rank_config_validation():
         RankConfig(epsilon_regime="ge3")
     with pytest.raises(ValueError):
         RankConfig(max_iter=0)
+
+
+def test_rank_config_rejects_nan_c():
+    with pytest.raises(ValueError, match="c must be"):
+        RankConfig(c=math.nan)
+
+
+def test_rank_config_rejects_least_squares_alias():
+    with pytest.raises(ValueError, match="unknown method"):
+        RankConfig(method="least_squares")
 
 
 @pytest.mark.parametrize("method", ["ls", "huber"])
