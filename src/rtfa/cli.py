@@ -124,7 +124,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    x = read_series(args.infile)
     config = EstimationConfig(
         ranks=args.ranks,
         method=args.method,
@@ -132,6 +131,7 @@ def _cmd_estimate(args) -> int:
         max_iter=args.max_iter,
         tol=args.tol,
     )
+    x = read_series(args.infile)
     result = fit(x, config)
     for k, a in enumerate(result.loadings.mats):
         write_matrix(a, f"{args.out}_loading{k + 1}.mtx")
@@ -148,7 +148,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    x = read_series(args.infile)
     config = RankConfig(
         r_max=args.rmax,
         c=args.c,
@@ -156,6 +155,7 @@ def _cmd_rank(args) -> int:
         epsilon_regime=args.regime,
         tau=args.tau,
     )
+    x = read_series(args.infile)
     result = estimate_ranks(x, config)
     traces = args.traces_out or str(Path(args.infile).with_suffix("")) + "_eigs.csv"
     with open(traces, "w", newline="") as fh:

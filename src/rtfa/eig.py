@@ -20,13 +20,12 @@ class EigPair:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so the largest-magnitude entry of each is nonnegative."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-    return v
+    """Flip columns so the largest-magnitude entry of each is nonnegative.
+
+    Ties go to the first such entry (``argmax``'s rule); a zero column stays
+    as it is.  Multiplying by -1.0 or 1.0 is exact, so only signs change."""
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(lead < 0, -1.0, 1.0)
 
 
 def sym_eig(m: np.ndarray, count: int | None = None) -> EigPair:

@@ -10,6 +10,7 @@ residual scale exceeds a threshold tau before averaging the covariance.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -59,8 +60,8 @@ class _SweepSettings:
     def _check_sweep_settings(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
         if isinstance(self.tau, str):
             if self.tau != "median":
                 raise ValueError(f"tau must be 'median' or a positive number, got {self.tau!r}")

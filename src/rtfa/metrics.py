@@ -47,7 +47,8 @@ def mse_common(est: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
-    return float(np.mean(np.square(est - truth)))
+    diff = est - truth
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 def relative_mse(x: np.ndarray, s_hat: np.ndarray) -> float:
@@ -59,7 +60,8 @@ def relative_mse(x: np.ndarray, s_hat: np.ndarray) -> float:
     den = float(np.sum(np.square(x)))
     if den <= 0.0:
         raise ValueError("zero data: relative error undefined")
-    return float(np.sum(np.square(x - s_hat)) / den)
+    diff = x - s_hat
+    return float(np.sum(np.square(diff, out=diff)) / den)
 
 
 def rolling_validation(x: np.ndarray, window_years: int, period_length: int, est) -> list[float]:

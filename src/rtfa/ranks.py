@@ -4,6 +4,7 @@ projection path (least-squares or robustly weighted)."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ class RankConfig(_SweepSettings):
     tau: float | str = "median"
 
     def __post_init__(self):
-        if self.r_max < 1:
-            raise ValueError("r_max must be >= 1")
+        if not isinstance(self.r_max, numbers.Integral) or self.r_max < 1:
+            raise ValueError("r_max must be an integer >= 1")
         if not self.c >= 0:
             raise ValueError("c must be >= 0")
         if self.epsilon_regime not in _REGIMES:

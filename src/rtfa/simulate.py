@@ -28,6 +28,9 @@ from .tensor import series_multi_mode_product
 
 _NOISE_LAWS = {"tensor_normal", "tensor_t"}
 
+# gen_noise's time-block size: its blocks hold about this many bytes of slices.
+_BLOCK_BYTES = 512 * 1024
+
 
 @dataclass(frozen=True)
 class DgpConfig:
@@ -136,6 +139,13 @@ def gen_noise(
     Innovations are tensor-normal (mode-wise Cholesky of the per-mode
     covariances); under law "tensor_t" each innovation slice is additionally
     divided by sqrt(chi2(dof)/dof), one mixing draw per slice.
+
+    The burn_in + T + 1 standard normals are drawn first and the mixing draws
+    after them, as one array each.  The Cholesky products, the mixing and the
+    recursion then run in time blocks of about ``_BLOCK_BYTES``, carrying the
+    last slice from block to block, and only the T retained slices are stored:
+    the result is a compact (T, p_1, ..., p_K) array, bit-identical to the
+    same steps run over the whole series at once.
     """
     if law not in _NOISE_LAWS:
         raise ValueError(f"unknown noise law {law!r}")
@@ -144,18 +154,36 @@ def gen_noise(
     if law == "tensor_t" and not dof > 2:
         raise ValueError("dof must exceed 2")
     dims = tuple(int(d) for d in dims)
-    n = int(burn_in) + int(T)
+    T = int(T)
+    n = int(burn_in) + T
     z = rng.standard_normal(size=(n + 1, *dims))
-    u = series_multi_mode_product(z, _kron_factor_chols(dims))
+    mix = None
     if law == "tensor_t":
-        mix = np.sqrt(rng.chisquare(dof, size=n + 1) / dof)
-        u /= mix.reshape((n + 1,) + (1,) * len(dims))
-    out = np.empty_like(u)
-    out[0] = u[0]
+        mix = np.sqrt(rng.chisquare(dof, size=n + 1) / dof).reshape((n + 1,) + (1,) * len(dims))
+    chols = _kron_factor_chols(dims)
     scale = math.sqrt(1.0 - psi * psi)
-    for i in range(1, n + 1):
-        out[i] = psi * out[i - 1] + scale * u[i]
-    return out[n - T + 1:]
+    first = n + 1 - T  # the first retained slice
+    out = np.empty((T, *dims))
+    # Near-equal blocks, so that no block is small enough for the trailing
+    # mode's matmul to take another BLAS kernel (a one-row product is a GEMV)
+    # than the whole-array product takes: that would change the bits.
+    step = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
+    blocks = -(-(n + 1) // step)
+    edges = [(n + 1) * b // blocks for b in range(blocks + 1)]
+    prev = None
+    for lo, hi in zip(edges, edges[1:]):
+        u = series_multi_mode_product(z[lo:hi], chols)
+        if mix is not None:
+            u /= mix[lo:hi]
+        for cur in u:
+            if prev is not None:  # slice 0 starts the recursion unscaled
+                cur *= scale
+                cur += psi * prev
+            prev = cur
+        keep = max(lo, first)
+        if hi > keep:
+            out[keep - first:hi - first] = u[keep - lo:]
+    return out
 
 
 def gen_dataset(config: DgpConfig, rng: np.random.Generator | None = None) -> SimulatedDataset:
@@ -164,15 +192,16 @@ def gen_dataset(config: DgpConfig, rng: np.random.Generator | None = None) -> Si
     Observations are common components plus noise, where the common component
     uses the raw loadings; the stored loading/factor truth is the normalized
     representative of the same fit (identical column spaces and identical
-    common components).
+    common components).  The common component is formed after the noise,
+    whose working buffers are then already freed; it draws nothing, so the
+    draws are the same as forming it first.
     """
     if rng is None:
         rng = replication_rng(config.seed)
     raw, normalized = gen_loadings(config.dims, config.ranks, rng)
     cores = gen_factors(config.ranks, config.T, config.phi, rng, config.burn_in)
-    common = series_multi_mode_product(cores, raw)
     if config.zero_noise:
-        noise = np.zeros_like(common)
+        noise = np.zeros((config.T, *config.dims))
     else:
         noise = gen_noise(
             config.dims,
@@ -183,6 +212,7 @@ def gen_dataset(config: DgpConfig, rng: np.random.Generator | None = None) -> Si
             dof=config.t_dof,
             burn_in=config.burn_in,
         )
+    common = series_multi_mode_product(cores, raw)
     transforms = [n.T @ a / n.shape[0] for n, a in zip(normalized.mats, raw)]
     true_factors = series_multi_mode_product(cores, transforms)
     return SimulatedDataset(
@@ -210,19 +240,25 @@ class MonteCarloResult:
 def _replication_rows(task) -> list[Row]:
     dgp, est, rep = task
     ds = gen_dataset(dgp, rng=replication_rng(dgp.seed, rep))
+    # Keep only what the rows need, and let the observations go once the
+    # estimator returns, so that a replication holds few series at a time.
+    x, common, truth = ds.observations, ds.true_common, ds.true_loadings
+    del ds
     rows: list[Row] = []
     if isinstance(est, RankConfig):
-        result = estimate_ranks(ds.observations, est)
+        del common
+        result = estimate_ranks(x, est)
         for k, r in enumerate(result.ranks):
             rows.append((rep, k + 1, "rank", float(r)))
         rows.append((rep, None, "exact", 1.0 if result.ranks == dgp.ranks else 0.0))
     else:
-        result = fit(ds.observations, est)
+        result = fit(x, est)
+        del x
         for k, a_hat in enumerate(result.loadings.mats):
-            d = subspace_distance(a_hat, ds.true_loadings.mats[k])
+            d = subspace_distance(a_hat, truth.mats[k])
             rows.append((rep, k + 1, "distance", d))
         s_hat = common_components(result.loadings, result.factors)
-        rows.append((rep, None, "mse", mse_common(s_hat, ds.true_common)))
+        rows.append((rep, None, "mse", mse_common(s_hat, common)))
     return rows
 
 

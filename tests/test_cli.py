@@ -211,6 +211,20 @@ def test_exit_code_usage_error_on_bad_setting(tmp_path, capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--ranks", "2,2,2", "--tol", "nan", "--out"),
+    ("rank", "--c", "nan", "--traces-out"),
+])
+def test_bad_setting_exits_2_before_reading_the_series(tmp_path, capsys, argv):
+    # the config is built first, so the missing file (exit 3) is never opened
+    missing = tmp_path / "missing.tsr"
+    code, out, err = run(capsys, argv[0], "--in", str(missing), *argv[1:],
+                         str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_replicate_table1_small(tmp_path, capsys):
     out1 = tmp_path / "t1.csv"
     out2 = tmp_path / "t2.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rtfa import sym_eig, varimax, varimax_criterion
+from rtfa.eig import _fix_signs
 
 rng = np.random.default_rng(1)
 
@@ -151,6 +152,54 @@ def test_symmetrizes_tiny_asymmetry():
     m[0, 1] += 1e-12
     pair = sym_eig(m)
     assert np.isfinite(pair.values).all()
+
+
+def fix_signs_by_loop(vectors):
+    # the column-by-column rule _fix_signs vectorizes: the oracle below
+    v = vectors.copy()
+    for j in range(v.shape[1]):
+        i = int(np.argmax(np.abs(v[:, j])))
+        if v[i, j] < 0:
+            v[:, j] = -v[:, j]
+    return v
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 6), (7, 3), (200, 200)])
+def test_fix_signs_matches_loop(shape):
+    v = rng.standard_normal(shape)
+    assert same_bits(_fix_signs(v), fix_signs_by_loop(v))
+    # eigh's output is a reversed (negative-stride) view, as sym_eig passes it
+    w = np.linalg.eigh(random_symmetric(shape[0]))[1][:, ::-1]
+    assert same_bits(_fix_signs(w), fix_signs_by_loop(w))
+
+
+def test_fix_signs_ties_and_zero_columns():
+    v = np.array([
+        [-2.0, 2.0, 0.0, -0.0, 1.0],
+        [2.0, -2.0, 0.0, 0.0, -1.0],
+        [1.0, 0.0, -0.0, 0.0, 1.0],
+    ])
+    fixed = _fix_signs(v)
+    assert same_bits(fixed, fix_signs_by_loop(v))
+    # a tie goes to the first index: column 0 flips, column 1 does not
+    assert fixed[:, 0].tolist() == [2.0, -2.0, -1.0]
+    assert fixed[:, 1].tolist() == [2.0, -2.0, 0.0]
+    # zero columns keep their signed zeros
+    assert same_bits(fixed[:, 2:4], v[:, 2:4])
+
+
+def test_sym_eig_signs_match_loop_on_projection_spectra():
+    # repeated eigenvalues give ties and sign-sensitive columns
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    m = q @ np.diag(np.repeat([3.0, 1.0, 0.0], 10)) @ q.T
+    m = (m + m.T) / 2.0
+    w, v = np.linalg.eigh(m)
+    pair = sym_eig(m)
+    assert same_bits(pair.vectors, np.ascontiguousarray(fix_signs_by_loop(v[:, ::-1])))
 
 
 def criterion_by_hand(a):

@@ -83,6 +83,17 @@ def test_config_rejects_nan_tol():
         EstimationConfig(ranks=(2, 2), tol=math.nan)
 
 
+@pytest.mark.parametrize("max_iter", [2.5, math.nan])
+def test_config_rejects_non_integer_max_iter(max_iter):
+    # both pass a bare "< 1" check and would fail later inside range()
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        EstimationConfig(ranks=(2, 2), max_iter=max_iter)
+
+
+def test_config_accepts_numpy_integer_max_iter():
+    assert EstimationConfig(ranks=(2, 2), max_iter=np.int64(4)).max_iter == 4
+
+
 def test_config_rejects_least_squares_alias():
     with pytest.raises(ValueError, match="unknown method"):
         EstimationConfig(ranks=(2, 2), method="least_squares")

@@ -140,6 +140,18 @@ def test_rank_config_rejects_nan_c():
         RankConfig(c=math.nan)
 
 
+@pytest.mark.parametrize("field", ["r_max", "max_iter"])
+@pytest.mark.parametrize("value", [2.5, math.nan])
+def test_rank_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        RankConfig(**{field: value})
+
+
+def test_rank_config_accepts_numpy_integers():
+    config = RankConfig(r_max=np.int64(4), max_iter=np.int64(3))
+    assert (config.r_max, config.max_iter) == (4, 3)
+
+
 def test_rank_config_rejects_least_squares_alias():
     with pytest.raises(ValueError, match="unknown method"):
         RankConfig(method="least_squares")

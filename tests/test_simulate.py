@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,8 @@ from rtfa import (
     write_aggregate_csv,
     write_replication_csv,
 )
+from rtfa.simulate import _BLOCK_BYTES, SimulatedDataset, _kron_factor_chols
+from rtfa.tensor import series_multi_mode_product
 
 
 def test_config_validation():
@@ -215,3 +220,111 @@ def test_csv_writers(tmp_path):
     assert len(agg_lines) == 1 + len(mc.aggregate)
     assert rep_lines[1].startswith("0,1,distance,")
     assert agg_lines[1].startswith("distance_mode1,")
+
+
+# --- the blocked DGP against its whole-array form --------------------------------
+
+def gen_noise_whole(dims, T, psi, rng, law="tensor_normal", dof=3.0, burn_in=100):
+    # gen_noise as whole-array passes over all burn_in + T + 1 slices: the
+    # oracle that its blocked pass must reproduce bit for bit
+    dims = tuple(dims)
+    n = burn_in + T
+    z = rng.standard_normal(size=(n + 1, *dims))
+    u = series_multi_mode_product(z, _kron_factor_chols(dims))
+    if law == "tensor_t":
+        mix = np.sqrt(rng.chisquare(dof, size=n + 1) / dof)
+        u /= mix.reshape((n + 1,) + (1,) * len(dims))
+    out = np.empty_like(u)
+    out[0] = u[0]
+    scale = math.sqrt(1.0 - psi * psi)
+    for i in range(1, n + 1):
+        out[i] = psi * out[i - 1] + scale * u[i]
+    return out[n - T + 1:]
+
+
+def gen_dataset_whole(config, rng):
+    # gen_dataset with the whole-array noise, forming the common part first
+    raw, normalized = gen_loadings(config.dims, config.ranks, rng)
+    cores = gen_factors(config.ranks, config.T, config.phi, rng, config.burn_in)
+    common = series_multi_mode_product(cores, raw)
+    if config.zero_noise:
+        noise = np.zeros_like(common)
+    else:
+        noise = gen_noise_whole(config.dims, config.T, config.psi, rng, law=config.noise_law,
+                                dof=config.t_dof, burn_in=config.burn_in)
+    transforms = [n.T @ a / n.shape[0] for n, a in zip(normalized.mats, raw)]
+    return SimulatedDataset(
+        observations=common + noise,
+        true_loadings=normalized,
+        true_factors=series_multi_mode_product(cores, transforms),
+        true_common=common,
+        noise=noise,
+    )
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# A (50,) slice is 400 bytes; with burn_in=100 this T makes burn_in + T + 1
+# one slice more than a whole number of blocks, so cutting blocks of the full
+# size would leave a one-slice block, whose mode product BLAS computes by GEMV.
+_ONE_OVER = _BLOCK_BYTES // 400 - 100
+
+BLOCKED_CASES = [
+    pytest.param((20, 20, 20), 20, 10, id="uneven-blocks"),
+    pytest.param((200, 30, 30), 3, 2, id="slice-larger-than-block"),
+    pytest.param((6, 5, 4), 1, 0, id="T1-no-burn-in"),
+    pytest.param((50,), _ONE_OVER, 100, id="K1-one-slice-over"),
+    pytest.param((8, 7, 6, 5), 50, 20, id="K4"),
+]
+
+
+@pytest.mark.parametrize("law", ["tensor_normal", "tensor_t"])
+@pytest.mark.parametrize("dims, T, burn_in", BLOCKED_CASES)
+def test_gen_noise_blocked_matches_whole_array(dims, T, burn_in, law):
+    got = gen_noise(dims, T, 0.3, replication_rng(31), law=law, burn_in=burn_in)
+    want = gen_noise_whole(dims, T, 0.3, replication_rng(31), law=law, burn_in=burn_in)
+    assert got.shape == (T, *dims)
+    assert got.flags.c_contiguous and got.base is None
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("law", ["tensor_normal", "tensor_t"])
+@pytest.mark.parametrize("dims, T, burn_in", BLOCKED_CASES)
+def test_gen_dataset_fields_match_whole_array(dims, T, burn_in, law):
+    config = DgpConfig(dims=dims, T=T, ranks=tuple(min(2, d) for d in dims),
+                       noise_law=law, seed=32, burn_in=burn_in)
+    got = gen_dataset(config)
+    want = gen_dataset_whole(config, replication_rng(32))
+    for name in ("observations", "true_factors", "true_common", "noise"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for a, b in zip(got.true_loadings.mats, want.true_loadings.mats):
+        assert same_bits(a, b)
+
+
+def test_gen_dataset_zero_noise_matches_whole_array():
+    config = DgpConfig(dims=(6, 5, 4), T=7, ranks=(2, 2, 2), seed=33, zero_noise=True)
+    got = gen_dataset(config)
+    want = gen_dataset_whole(config, replication_rng(33))
+    for name in ("observations", "true_factors", "true_common", "noise"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("est", [
+    EstimationConfig(ranks=(3, 3, 3), method="ls"),
+    EstimationConfig(ranks=(3, 3, 3), method="huber"),
+    RankConfig(r_max=8, method="huber"),
+], ids=["fit-ls", "fit-huber", "rank-huber"])
+def test_replication_peak_memory(est):
+    # one setting-C replication holds at most a few series at a time: the
+    # blocked noise, then the dataset, then the estimate against the truth
+    dgp = DgpConfig(dims=(20, 20, 20), T=200, ranks=(3, 3, 3), noise_law="tensor_t", seed=34)
+    observation_bytes = 8 * dgp.T * math.prod(dgp.dims)
+    tracemalloc.start()
+    try:
+        run_monte_carlo(dgp, est, reps=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * observation_bytes
