@@ -15,10 +15,7 @@ from .estimation import (
     default_tau,
     extract_factors,
     fit,
-    huber_loss,
-    huber_weights,
     initial_estimator,
-    projection_cov,
     residual_scales,
 )
 from .io import FileFormatError, read_matrix, read_series, write_matrix, write_series
@@ -55,7 +52,6 @@ from .simulate import (
 )
 from .tensor import (
     fold,
-    frobenius_norm,
     kron,
     kron_excluding,
     mode_product,
@@ -64,7 +60,6 @@ from .tensor import (
     series_multi_mode_product,
     series_unfold,
     unfold,
-    vec,
 )
 
 __version__ = "0.1.0"
@@ -91,13 +86,10 @@ __all__ = [
     "extract_factors",
     "fit",
     "fold",
-    "frobenius_norm",
     "gen_dataset",
     "gen_factors",
     "gen_loadings",
     "gen_noise",
-    "huber_loss",
-    "huber_weights",
     "initial_estimator",
     "kron",
     "kron_excluding",
@@ -106,7 +98,6 @@ __all__ = [
     "mse_common",
     "multi_mode_product",
     "orthonormal_basis",
-    "projection_cov",
     "rate_constants",
     "read_matrix",
     "read_series",
@@ -123,7 +114,6 @@ __all__ = [
     "unfold",
     "varimax",
     "varimax_criterion",
-    "vec",
     "write_aggregate_csv",
     "write_matrix",
     "write_replication_csv",

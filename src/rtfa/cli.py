@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -195,30 +196,24 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-# The aggregate rows each table reports, by metric-name prefix.
-_TABLE_METRIC = {1: "distance", 2: "distance", 3: "mse", 4: "exact"}
-
-
-def _replicate_cells(table: int):
-    """(noise_law, method) pairs per table, plus whether cells estimate or rank."""
-    if table in (1, 3):
-        return [("tensor_normal", m) for m in ("ls", "huber")], "estimate"
-    if table == 2:
-        return [("tensor_t", m) for m in ("ls", "huber")], "estimate"
-    return (
-        [(law, m) for law in ("tensor_normal", "tensor_t") for m in ("ls", "huber")],
-        "rank",
-    )
+# Per table: the noise laws of its cells (each run with ls and huber), whether
+# the cells estimate or rank, and the metric-name prefix of the rows it reports.
+_TABLES = {
+    1: (("tensor_normal",), "estimate", "distance"),
+    2: (("tensor_t",), "estimate", "distance"),
+    3: (("tensor_normal",), "estimate", "mse"),
+    4: (("tensor_normal", "tensor_t"), "rank", "exact"),
+}
 
 
 def _cmd_replicate(args) -> int:
     workers = _resolve_workers(args.workers)
     dims = _SETTINGS[args.setting]
     ranks = (3, 3, 3)
-    cells, kind = _replicate_cells(args.table)
+    laws, kind, prefix = _TABLES[args.table]
     out_rows = []
     for t_len in _T_GRID:
-        for law, method in cells:
+        for law, method in itertools.product(laws, ("ls", "huber")):
             dgp = DgpConfig(
                 dims=dims, T=t_len, ranks=ranks, phi=0.1, psi=0.1,
                 noise_law=law, t_dof=3.0, seed=args.seed,
@@ -230,7 +225,7 @@ def _cmd_replicate(args) -> int:
             result = run_monte_carlo(dgp, est, reps=args.reps, workers=workers)
             noise_label = "normal" if law == "tensor_normal" else "t3"
             for name, mean, sd in result.aggregate:
-                if name.startswith(_TABLE_METRIC[args.table]):
+                if name.startswith(prefix):
                     out_rows.append(
                         [args.table, args.setting, noise_label, t_len, method,
                          name, f"{mean:.17g}", f"{sd:.17g}"]

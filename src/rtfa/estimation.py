@@ -18,7 +18,7 @@ import numpy as np
 
 from .eig import sym_eig
 from .metrics import subspace_distance
-from .tensor import series_mode_product, series_multi_mode_product, series_unfold
+from .tensor import series_mode_product, series_multi_mode_product
 
 _METHODS = ("ls", "huber")
 
@@ -164,38 +164,6 @@ def _gram(ys: np.ndarray, k: int, weights=None) -> np.ndarray:
     return m
 
 
-def projection_cov(x: np.ndarray, k: int, b: np.ndarray, weights=None) -> np.ndarray:
-    """Projected mode-k covariance sum_t w_t X_{k,t} b b.T X_{k,t}.T / (T p p_{-k}).
-
-    ``b`` is the (p_{-k} x r_{-k}) projection factor; w_t = 1 when ``weights``
-    is None.
-    """
-    xs = _check_series(x)
-    dims = xs.shape[1:]
-    t_len = xs.shape[0]
-    p = math.prod(dims)
-    p_rest = p // dims[k]
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != p_rest or b.shape[1] < 1:
-        raise ValueError(f"b must be {p_rest} x r, got {b.shape}")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (t_len,):
-            raise ValueError(f"weights must have length {t_len}")
-        if (weights < 0).any():
-            raise ValueError("weights must be nonnegative")
-    return _gram(series_unfold(xs, k) @ b, 0, weights) / (t_len * p * p_rest)
-
-
-def huber_loss(x, tau: float):
-    """x^2/2 below the threshold, tau*|x| - tau^2/2 above it."""
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    x = np.abs(np.asarray(x, dtype=float))
-    out = np.where(x <= tau, 0.5 * x * x, tau * x - 0.5 * tau * tau)
-    return float(out) if out.ndim == 0 else out
-
-
 # Slices whose projected energy reaches this share of ||X_t||^2 lose too many
 # digits in ||X_t||^2 - ||core_t||^2 / p and get the direct residual instead.
 _DIRECT_SHARE = 1.0 - 1e-4
@@ -246,13 +214,6 @@ def _weights_from_scales(s: np.ndarray, tau: float) -> np.ndarray:
     """1/2 on slices within the threshold, (tau/2)/s_t beyond it."""
     with np.errstate(divide="ignore"):
         return np.where(s <= tau, 0.5, 0.5 * tau / s)
-
-
-def huber_weights(x: np.ndarray, loadings: LoadingSet, tau: float) -> np.ndarray:
-    """Per-slice robust weights in (0, 1/2]."""
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    return _weights_from_scales(residual_scales(x, loadings), tau)
 
 
 def default_tau(x: np.ndarray, loadings: LoadingSet, *, _checked: bool = False) -> float:

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eig import sym_eig
-from .tensor import series_multi_mode_product
 
 
 def orthonormal_basis(a: np.ndarray) -> np.ndarray:

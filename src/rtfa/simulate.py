@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Union
@@ -52,6 +53,9 @@ class DgpConfig:
     zero_noise: bool = False
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (*self.dims, *self.ranks, self.T, self.burn_in)):
+            raise ValueError("dims, ranks, T and burn_in must be integers")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         if len(self.ranks) != len(self.dims):
@@ -283,17 +287,12 @@ def run_monte_carlo(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_replication_rows, tasks))
     rows = [row for rep_rows in per_rep for row in rep_rows]
-    order: list[tuple[str, int | None]] = []
     grouped: dict[tuple[str, int | None], list[float]] = {}
     for rep, mode, metric, value in rows:
-        key = (metric, mode)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(value)
+        grouped.setdefault((metric, mode), []).append(value)
     aggregate = []
-    for metric, mode in order:
-        vals = np.asarray(grouped[(metric, mode)])
+    for (metric, mode), values in grouped.items():
+        vals = np.asarray(values)
         name = metric if mode is None else f"{metric}_mode{mode}"
         sd = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
         aggregate.append((name, float(vals.mean()), sd))

@@ -4,8 +4,8 @@ Conventions used throughout the package
 ---------------------------------------
 A tensor of order K is a numpy array of shape (p_1, ..., p_K); a series of T
 tensors stacks them along a leading time axis, shape (T, p_1, ..., p_K).
-Flat (storage) order is mode-1-major: index i_1 varies fastest, so ``vec``
-equals ``ravel(order="F")``.
+Vectorization is mode-1-major: index i_1 varies fastest, as in
+``ravel(order="F")``.
 
 The mode-k unfolding (k is a 0-based axis) sends entry (i_1, ..., i_K) to row
 i_k and column sum_{m != k} i_m * prod_{l < m, l != k} p_l.  With this column
@@ -15,6 +15,11 @@ order the multilinear identity
 
 holds with B_k = kron(A_K, ..., A_{k+1}, A_{k-1}, ..., A_1), which is the form
 every projection step in this package relies on.
+
+There is one contraction path.  The per-slice :func:`unfold`,
+:func:`mode_product` and :func:`multi_mode_product` are T=1 views of the
+series kernels, so the layout contract of :func:`series_mode_product` covers
+both: every mode product returns a C-contiguous array.
 """
 
 from __future__ import annotations
@@ -28,92 +33,6 @@ def _rest_axes(order: int, k: int) -> list[int]:
     """Non-k axes in decreasing order (C-order reshape then runs mode 1 fastest)."""
     return [m for m in reversed(range(order)) if m != k]
 
-
-def unfold(x: np.ndarray, k: int) -> np.ndarray:
-    """Mode-k unfolding of ``x`` as a (p_k, p_{-k}) matrix.
-
-    Parameters
-    ----------
-    x : ndarray, shape (p_1, ..., p_K)
-    k : int
-        Mode to unfold along, 0-based.
-
-    Returns
-    -------
-    ndarray, shape (p_k, prod of the other dims)
-    """
-    x = np.asarray(x, dtype=float)
-    if not 0 <= k < x.ndim:
-        raise ValueError(f"mode {k} out of range for order-{x.ndim} tensor")
-    perm = (k, *_rest_axes(x.ndim, k))
-    return x.transpose(perm).reshape(x.shape[k], -1)
-
-
-def fold(m: np.ndarray, k: int, dims) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor with dimensions ``dims``."""
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError("dims must be positive")
-    m = np.asarray(m, dtype=float)
-    if not 0 <= k < len(dims):
-        raise ValueError(f"mode {k} out of range for dims {dims}")
-    p = math.prod(dims)
-    if m.shape != (dims[k], p // dims[k]):
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims} at mode {k}")
-    perm = (k, *_rest_axes(len(dims), k))
-    shaped = m.reshape(tuple(dims[a] for a in perm))
-    return shaped.transpose(np.argsort(perm))
-
-
-def mode_product(x: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
-    """Contract mode k of ``x`` with the columns of ``a`` (d x p_k)."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("a must be a matrix")
-    if not 0 <= k < x.ndim:
-        raise ValueError(f"mode {k} out of range for order-{x.ndim} tensor")
-    if a.shape[1] != x.shape[k]:
-        raise ValueError(f"a has {a.shape[1]} columns, mode {k} has size {x.shape[k]}")
-    return np.moveaxis(np.tensordot(a, x, axes=(1, k)), 0, k)
-
-
-def multi_mode_product(x: np.ndarray, mats, transpose: bool = False) -> np.ndarray:
-    """Apply one matrix per mode: X x_1 A_1 ... x_K A_K (or the transposes)."""
-    x = np.asarray(x, dtype=float)
-    if len(mats) != x.ndim:
-        raise ValueError(f"need {x.ndim} matrices, got {len(mats)}")
-    out = x
-    for k, a in enumerate(mats):
-        out = mode_product(out, k, np.asarray(a).T if transpose else a)
-    return out
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (standard block layout)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def kron_excluding(mats, k: int) -> np.ndarray:
-    """kron(A_K, ..., A_{k+1}, A_{k-1}, ..., A_1): the mode-k projection factor."""
-    out = np.ones((1, 1))
-    for j in reversed(range(len(mats))):
-        if j != k:
-            out = np.kron(out, np.asarray(mats[j], dtype=float))
-    return out
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Flatten in storage (mode-1-major) order."""
-    return np.asarray(x, dtype=float).ravel(order="F")
-
-
-def frobenius_norm(x: np.ndarray) -> float:
-    """Root sum of squared entries."""
-    return float(np.sqrt(np.sum(np.square(np.asarray(x, dtype=float)))))
-
-
-# --- series variants (time on the leading axis) ------------------------------
 
 def series_unfold(xs: np.ndarray, k: int) -> np.ndarray:
     """Unfold every slice at once: (T, p_1..p_K) -> (T, p_k, p_{-k})."""
@@ -151,11 +70,55 @@ def series_mode_product(xs: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
 
 
 def series_multi_mode_product(xs: np.ndarray, mats, transpose: bool = False) -> np.ndarray:
-    """Per-slice multi_mode_product over the whole series."""
-    xs = np.asarray(xs, dtype=float)
-    if len(mats) != xs.ndim - 1:
-        raise ValueError(f"need {xs.ndim - 1} matrices, got {len(mats)}")
-    out = xs
+    """X_t x_1 A_1 ... x_K A_K (or the transposes) for every slice of the series."""
+    out = np.asarray(xs, dtype=float)
+    if len(mats) != out.ndim - 1:
+        raise ValueError(f"need {out.ndim - 1} matrices, got {len(mats)}")
     for k, a in enumerate(mats):
         out = series_mode_product(out, k, np.asarray(a).T if transpose else a)
+    return out
+
+
+def unfold(x: np.ndarray, k: int) -> np.ndarray:
+    """Mode-k unfolding of ``x`` as a (p_k, p_{-k}) matrix, 0-based ``k``."""
+    return series_unfold(np.asarray(x)[None], k)[0]
+
+
+def fold(m: np.ndarray, k: int, dims) -> np.ndarray:
+    """Inverse of :func:`unfold`: rebuild the tensor with dimensions ``dims``."""
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError("dims must be positive")
+    m = np.asarray(m, dtype=float)
+    if not 0 <= k < len(dims):
+        raise ValueError(f"mode {k} out of range for dims {dims}")
+    p = math.prod(dims)
+    if m.shape != (dims[k], p // dims[k]):
+        raise ValueError(f"matrix shape {m.shape} does not match dims {dims} at mode {k}")
+    perm = (k, *_rest_axes(len(dims), k))
+    shaped = m.reshape(tuple(dims[a] for a in perm))
+    return shaped.transpose(np.argsort(perm))
+
+
+def mode_product(x: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
+    """Contract mode k of ``x`` with the columns of ``a`` (d x p_k)."""
+    return series_mode_product(np.asarray(x)[None], k, a)[0]
+
+
+def multi_mode_product(x: np.ndarray, mats, transpose: bool = False) -> np.ndarray:
+    """Apply one matrix per mode: X x_1 A_1 ... x_K A_K (or the transposes)."""
+    return series_multi_mode_product(np.asarray(x)[None], mats, transpose)[0]
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product (standard block layout)."""
+    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def kron_excluding(mats, k: int) -> np.ndarray:
+    """kron(A_K, ..., A_{k+1}, A_{k-1}, ..., A_1): the mode-k projection factor."""
+    out = np.ones((1, 1))
+    for j in reversed(range(len(mats))):
+        if j != k:
+            out = np.kron(out, np.asarray(mats[j], dtype=float))
     return out

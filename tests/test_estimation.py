@@ -14,12 +14,9 @@ from rtfa import (
     extract_factors,
     fit,
     gen_dataset,
-    huber_loss,
-    huber_weights,
     initial_estimator,
     kron_excluding,
     multi_mode_product,
-    projection_cov,
     replication_rng,
     residual_scales,
     series_multi_mode_product,
@@ -27,6 +24,7 @@ from rtfa import (
     subspace_distance,
     sym_eig,
 )
+from rtfa.estimation import _sweep_cov, _weights_from_scales
 
 rng = np.random.default_rng(3)
 
@@ -144,34 +142,44 @@ def test_initial_estimator_worse_than_converged():
 
 def test_projection_cov_zero_data():
     xs = np.zeros((3, 4, 5))
-    b = rng.standard_normal((5, 2))
-    assert np.array_equal(projection_cov(xs, 0, b), np.zeros((4, 4)))
+    m, w = _sweep_cov(xs, list(identity_loadings((4, 5), (2, 2)).mats), 0)
+    assert np.array_equal(m, np.zeros((4, 4)))
+    assert w is None
 
 
 def test_projection_cov_half_weights():
+    # tau = inf puts every slice in the quadratic regime, weight 1/2
     xs = rng.standard_normal((6, 4, 5))
-    b = rng.standard_normal((5, 2))
-    full = projection_cov(xs, 0, b)
-    halved = projection_cov(xs, 0, b, weights=np.full(6, 0.5))
+    mats = list(identity_loadings((4, 5), (2, 2)).mats)
+    full, _ = _sweep_cov(xs, mats, 0)
+    halved, w = _sweep_cov(xs, mats, 0, (np.inf, np.sum(xs.reshape(6, -1) ** 2, axis=1)))
+    assert np.array_equal(w, np.full(6, 0.5))
     assert np.allclose(halved, full / 2.0, atol=1e-15)
 
 
 def test_projection_cov_full_basis_single_slice():
     xs = rng.standard_normal((1, 4, 3, 2))
     p = 24
-    for k, d in enumerate((4, 3, 2)):
-        p_rest = p // d
-        b = math.sqrt(p_rest) * np.eye(p_rest)
-        m = projection_cov(xs, k, b)
+    mats = list(identity_loadings((4, 3, 2), (4, 3, 2)).mats)
+    for k in range(3):
+        m, _ = _sweep_cov(xs, mats, k)
         u = series_unfold(xs, k)[0]
         assert np.allclose(m, u @ u.T / p, atol=1e-12)
 
 
 def test_projection_cov_dense_oracle():
     xs = rng.standard_normal((5, 3, 4, 2))
-    w = rng.uniform(0.1, 0.5, size=5)
-    b = rng.standard_normal((8, 3))
-    m = projection_cov(xs, 0, b, weights=w)
+    loadings = LoadingSet(tuple(
+        math.sqrt(d) * np.linalg.qr(rng.standard_normal((d, r)))[0]
+        for d, r in zip((3, 4, 2), (2, 2, 1))
+    ))
+    mats = list(loadings.mats)
+    scales = residual_scales(xs, loadings)
+    tau = float(np.median(scales))
+    m, w = _sweep_cov(xs, mats, 0, (tau, np.sum(xs.reshape(5, -1) ** 2, axis=1)))
+    assert np.allclose(w, _weights_from_scales(scales, tau), rtol=1e-12, atol=0)
+    assert (w < 0.5).any()
+    b = kron_excluding(mats, 0)
     by_hand = np.zeros((3, 3))
     for t in range(5):
         g = series_unfold(xs, 0)[t] @ b
@@ -180,27 +188,7 @@ def test_projection_cov_dense_oracle():
     assert np.allclose(m, by_hand, atol=1e-13)
 
 
-def test_projection_cov_errors():
-    xs = rng.standard_normal((4, 3, 5))
-    with pytest.raises(ValueError):
-        projection_cov(xs, 0, rng.standard_normal((4, 2)))
-    with pytest.raises(ValueError):
-        projection_cov(xs, 0, rng.standard_normal((5, 2)), weights=np.ones(3))
-    with pytest.raises(ValueError):
-        projection_cov(xs, 0, rng.standard_normal((5, 2)), weights=-np.ones(4))
-
-
 # --- Huber pieces --------------------------------------------------------------
-
-def test_huber_loss_oracles():
-    assert huber_loss(1.0, 2.0) == 0.5
-    assert huber_loss(3.0, 1.0) == 2.5
-    tau = 1.7
-    assert huber_loss(tau, tau) == pytest.approx(tau * tau / 2.0, rel=1e-15)
-    assert np.allclose(huber_loss(np.array([1.0, 3.0]), 2.0), [0.5, 4.0])
-    with pytest.raises(ValueError):
-        huber_loss(1.0, -1.0)
-
 
 def test_residual_scales_exact_construction():
     dims, ranks = (4, 4, 4), (2, 2, 2)
@@ -259,13 +247,14 @@ def test_huber_weights_quadratic_regime():
     dims, ranks = (4, 4, 4), (2, 2, 2)
     loadings = identity_loadings(dims, ranks)
     xs = off_support_series(dims, ranks, [1.0, 2.0, 3.0])
-    assert np.array_equal(huber_weights(xs, loadings, np.inf), np.full(3, 0.5))
+    w = _weights_from_scales(residual_scales(xs, loadings), np.inf)
+    assert np.array_equal(w, np.full(3, 0.5))
 
 
 def test_huber_weights_noiseless():
     ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2, zero_noise=True))
     loadings = initial_estimator(ds.observations, (2, 2, 2))
-    w = huber_weights(ds.observations, loadings, 1.0)
+    w = _weights_from_scales(residual_scales(ds.observations, loadings), 1.0)
     assert np.allclose(w, 0.5, atol=1e-12)
 
 
@@ -273,10 +262,8 @@ def test_huber_weights_downweight_outlier():
     dims, ranks = (4, 4, 4), (2, 2, 2)
     loadings = identity_loadings(dims, ranks)
     xs = off_support_series(dims, ranks, [1.0, 2.0, 4.0])
-    w = huber_weights(xs, loadings, 2.0)
+    w = _weights_from_scales(residual_scales(xs, loadings), 2.0)
     assert np.allclose(w, [0.5, 0.5, 0.25], atol=1e-14)
-    with pytest.raises(ValueError):
-        huber_weights(xs, loadings, 0.0)
 
 
 def test_default_tau_median():
@@ -514,9 +501,8 @@ def test_huber_fit_validates_series_once(monkeypatch):
     lambda x, ls: initial_estimator(x, (2, 2)),
     lambda x, ls: residual_scales(x, ls),
     lambda x, ls: default_tau(x, ls),
-    lambda x, ls: huber_weights(x, ls, 1.0),
     lambda x, ls: extract_factors(x, ls),
-    lambda x, ls: projection_cov(x, 0, np.eye(4)[:, :2]),
+    lambda x, ls: fit(x, EstimationConfig(ranks=(2, 2), method="huber")),
 ])
 def test_public_series_functions_reject_non_finite(call):
     bad = rng.standard_normal((10, 4, 4))

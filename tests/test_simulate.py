@@ -42,6 +42,25 @@ def test_config_validation():
         DgpConfig(dims=(5, 5), T=10, ranks=(2, 2), burn_in=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dims", (5.7, 5)), ("ranks", (2.0, 2)), ("T", 2.5), ("T", math.nan),
+    ("burn_in", 3.9), ("burn_in", math.nan),
+])
+def test_config_rejects_non_integer_sizes(field, value):
+    # floats used to pass: dims and ranks truncated by int(), T and burn_in
+    # failing later with a TypeError inside gen_factors
+    sizes = {"dims": (5, 5), "T": 10, "ranks": (2, 2), "burn_in": 3, field: value}
+    with pytest.raises(ValueError, match="must be integers"):
+        DgpConfig(**sizes)
+
+
+def test_config_accepts_numpy_integer_sizes():
+    config = DgpConfig(dims=(np.int64(5), 5), T=np.int64(10), ranks=(np.int64(2), 2),
+                       burn_in=np.int64(3))
+    assert config.dims == (5, 5) and config.ranks == (2, 2)
+    assert gen_dataset(config).observations.shape == (10, 5, 5)
+
+
 def test_replication_rng_streams():
     a = replication_rng(7, 0).standard_normal(4)
     b = replication_rng(7, 0).standard_normal(4)
