@@ -18,6 +18,7 @@ import numpy as np
 
 from .eig import _fix_signs, varimax
 from .estimation import (
+    _METHODS,
     EstimationConfig,
     LoadingSet,
     NumericalError,
@@ -196,8 +197,9 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-# Per table: the noise laws of its cells (each run with ls and huber), whether
-# the cells estimate or rank, and the metric-name prefix of the rows it reports.
+# Per table: the noise laws of its rows (each row runs an ls and a huber cell
+# on the same draws), whether the cells estimate or rank, and the metric-name
+# prefix of the rows it reports.
 _TABLES = {
     1: (("tensor_normal",), "estimate", "distance"),
     2: (("tensor_t",), "estimate", "distance"),
@@ -211,19 +213,19 @@ def _cmd_replicate(args) -> int:
     dims = _SETTINGS[args.setting]
     ranks = (3, 3, 3)
     laws, kind, prefix = _TABLES[args.table]
+    if kind == "estimate":
+        ests = [EstimationConfig(ranks=ranks, method=method) for method in _METHODS]
+    else:
+        ests = [RankConfig(r_max=8, c=0.0, method=method) for method in _METHODS]
     out_rows = []
-    for t_len in _T_GRID:
-        for law, method in itertools.product(laws, ("ls", "huber")):
-            dgp = DgpConfig(
-                dims=dims, T=t_len, ranks=ranks, phi=0.1, psi=0.1,
-                noise_law=law, t_dof=3.0, seed=args.seed,
-            )
-            if kind == "estimate":
-                est = EstimationConfig(ranks=ranks, method=method)
-            else:
-                est = RankConfig(r_max=8, c=0.0, method=method)
-            result = run_monte_carlo(dgp, est, reps=args.reps, workers=workers)
-            noise_label = "normal" if law == "tensor_normal" else "t3"
+    for t_len, law in itertools.product(_T_GRID, laws):
+        dgp = DgpConfig(
+            dims=dims, T=t_len, ranks=ranks, phi=0.1, psi=0.1,
+            noise_law=law, t_dof=3.0, seed=args.seed,
+        )
+        results = run_monte_carlo(dgp, ests, reps=args.reps, workers=workers)
+        noise_label = "normal" if law == "tensor_normal" else "t3"
+        for method, result in zip(_METHODS, results):
             for name, mean, sd in result.aggregate:
                 if name.startswith(prefix):
                     out_rows.append(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig import sym_eig
-from .metrics import subspace_distance
+from .metrics import _basis_distance
 from .tensor import series_mode_product, series_multi_mode_product
 
 _METHODS = ("ls", "huber")
@@ -90,7 +90,7 @@ class EstimationConfig(_SweepSettings):
     record_diagnostics: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        object.__setattr__(self, "ranks", _int_ranks(self.ranks))
         self._check_sweep_settings()
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
@@ -105,6 +105,15 @@ class EstimationResult:
     converged: bool
     tau_used: float | None
     diagnostics: dict | None = None
+
+
+def _int_ranks(ranks) -> tuple[int, ...]:
+    """``ranks`` as a tuple of ints; a rank that is not an integer (2.7, or
+    2.0) is rejected rather than truncated."""
+    ranks = tuple(ranks)
+    if not all(isinstance(r, numbers.Integral) for r in ranks):
+        raise ValueError(f"ranks must be integers, got {ranks!r}")
+    return tuple(int(r) for r in ranks)
 
 
 def _check_series(x: np.ndarray) -> np.ndarray:
@@ -132,7 +141,7 @@ def initial_estimator(x: np.ndarray, ranks, *, _checked: bool = False) -> Loadin
     """
     xs = x if _checked else _check_series(x)
     dims = xs.shape[1:]
-    ranks = tuple(int(r) for r in ranks)
+    ranks = _int_ranks(ranks)
     if len(ranks) != len(dims):
         raise ValueError(f"got {len(ranks)} ranks for an order-{len(dims)} series")
     for k, (r, p_k) in enumerate(zip(ranks, dims)):
@@ -297,6 +306,13 @@ def _sweeps(xs: np.ndarray, ranks, config, keep):
         yield prev, mats, tau
 
 
+def _subspace_change(a: np.ndarray, b: np.ndarray) -> float:
+    """``metrics.subspace_distance`` between two loadings that satisfy
+    A.T A / p_k = I, without its eigendecompositions: Q = A / sqrt(p_k) is
+    already an orthonormal basis."""
+    return _basis_distance(a / math.sqrt(a.shape[0]), b / math.sqrt(b.shape[0]))
+
+
 def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
     """Alternating projection estimation of loadings and factors.
 
@@ -329,7 +345,7 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
 
     changes: list[float] = []
     for prev, mats, tau in _sweeps(xs, config.ranks, config, keep):
-        changes.append(max(subspace_distance(a, b) for a, b in zip(mats, prev)))
+        changes.append(max(_subspace_change(a, b) for a, b in zip(mats, prev)))
         if changes[-1] < config.tol:
             break
 

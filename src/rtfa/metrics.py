@@ -31,12 +31,14 @@ def subspace_distance(a_hat: np.ndarray, a_true: np.ndarray) -> float:
     a_true = np.asarray(a_true, dtype=float)
     if a_hat.shape != a_true.shape:
         raise ValueError(f"shape mismatch: {a_hat.shape} vs {a_true.shape}")
-    q_hat = orthonormal_basis(a_hat)
-    q = orthonormal_basis(a_true)
-    r = a_hat.shape[1]
-    # ||P_hat - P||_F^2 / (2r) equals 1 - tr(P_hat P)/r but stays accurate
+    return _basis_distance(orthonormal_basis(a_hat), orthonormal_basis(a_true))
+
+
+def _basis_distance(qa: np.ndarray, qb: np.ndarray) -> float:
+    """:func:`subspace_distance` between the spans of two orthonormal p x r bases."""
+    # ||P_a - P_b||_F^2 / (2r) equals 1 - tr(P_a P_b)/r but stays accurate
     # near zero (sums of tiny squares instead of cancelling subtraction).
-    val = np.sum(np.square(q_hat @ q_hat.T - q @ q.T)) / (2 * r)
+    val = np.sum(np.square(qa @ qa.T - qb @ qb.T)) / (2 * qa.shape[1])
     return float(np.sqrt(min(max(val, 0.0), 1.0)))
 
 

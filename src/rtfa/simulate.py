@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -241,52 +241,38 @@ class MonteCarloResult:
     aggregate: list[tuple[str, float, float]]
 
 
-def _replication_rows(task) -> list[Row]:
-    dgp, est, rep = task
+def _replication_rows(task) -> list[list[Row]]:
+    """One replication's rows for each config in ``ests``, from one draw."""
+    dgp, ests, rep = task
     ds = gen_dataset(dgp, rng=replication_rng(dgp.seed, rep))
-    # Keep only what the rows need, and let the observations go once the
-    # estimator returns, so that a replication holds few series at a time.
+    # Keep only what the rows need (the common part only if some config fits),
+    # and let the observations go once the last estimator returns, so that a
+    # replication holds few series at a time.
     x, common, truth = ds.observations, ds.true_common, ds.true_loadings
     del ds
-    rows: list[Row] = []
-    if isinstance(est, RankConfig):
-        del common
-        result = estimate_ranks(x, est)
-        for k, r in enumerate(result.ranks):
-            rows.append((rep, k + 1, "rank", float(r)))
-        rows.append((rep, None, "exact", 1.0 if result.ranks == dgp.ranks else 0.0))
-    else:
-        result = fit(x, est)
-        del x
-        for k, a_hat in enumerate(result.loadings.mats):
-            d = subspace_distance(a_hat, truth.mats[k])
-            rows.append((rep, k + 1, "distance", d))
-        s_hat = common_components(result.loadings, result.factors)
-        rows.append((rep, None, "mse", mse_common(s_hat, common)))
-    return rows
+    if all(isinstance(est, RankConfig) for est in ests):
+        common = None
+    results = [estimate_ranks(x, est) if isinstance(est, RankConfig) else fit(x, est)
+               for est in ests]
+    del x
+    per_est: list[list[Row]] = []
+    for est, result in zip(ests, results):
+        rows: list[Row] = []
+        if isinstance(est, RankConfig):
+            for k, r in enumerate(result.ranks):
+                rows.append((rep, k + 1, "rank", float(r)))
+            rows.append((rep, None, "exact", 1.0 if result.ranks == dgp.ranks else 0.0))
+        else:
+            for k, a_hat in enumerate(result.loadings.mats):
+                d = subspace_distance(a_hat, truth.mats[k])
+                rows.append((rep, k + 1, "distance", d))
+            s_hat = common_components(result.loadings, result.factors)
+            rows.append((rep, None, "mse", mse_common(s_hat, common)))
+        per_est.append(rows)
+    return per_est
 
 
-def run_monte_carlo(
-    dgp: DgpConfig,
-    est: EstimationConfig | RankConfig,
-    reps: int,
-    workers: int = 1,
-) -> MonteCarloResult:
-    """Replicated simulation and estimation with per-replication RNG streams.
-
-    Replication i draws its dataset from replication_rng(dgp.seed, i), so the
-    result is bit-identical for any ``workers`` count; records are reduced in
-    replication order.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    tasks = [(dgp, est, rep) for rep in range(reps)]
-    if workers <= 1:
-        per_rep = [_replication_rows(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_replication_rows, tasks))
-    rows = [row for rep_rows in per_rep for row in rep_rows]
+def _aggregate(rows: list[Row]) -> MonteCarloResult:
     grouped: dict[tuple[str, int | None], list[float]] = {}
     for rep, mode, metric, value in rows:
         grouped.setdefault((metric, mode), []).append(value)
@@ -297,6 +283,44 @@ def run_monte_carlo(
         sd = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
         aggregate.append((name, float(vals.mean()), sd))
     return MonteCarloResult(rows=rows, aggregate=aggregate)
+
+
+def run_monte_carlo(
+    dgp: DgpConfig,
+    est: EstimationConfig | RankConfig | Sequence[EstimationConfig | RankConfig],
+    reps: int,
+    workers: int = 1,
+) -> MonteCarloResult | list[MonteCarloResult]:
+    """Replicated simulation and estimation with per-replication RNG streams.
+
+    Replication i draws its dataset from replication_rng(dgp.seed, i), so the
+    result is bit-identical for any ``workers`` count; records are reduced in
+    replication order.
+
+    ``est`` is one config, giving one :class:`MonteCarloResult`, or a
+    non-empty sequence of configs, giving one result per config in the same
+    order.  A sequence draws each replication once and runs every config on
+    that draw; each result equals the one its config gives alone.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    single = isinstance(est, (EstimationConfig, RankConfig))
+    ests = (est,) if single else tuple(est)
+    if not ests:
+        raise ValueError("need at least one estimation or rank config")
+    tasks = [(dgp, ests, rep) for rep in range(reps)]
+    if workers <= 1:
+        per_rep = [_replication_rows(t) for t in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_rep = list(pool.map(_replication_rows, tasks))
+    results = [
+        _aggregate([row for rep_rows in per_rep for row in rep_rows[i]])
+        for i in range(len(ests))
+    ]
+    return results[0] if single else results
 
 
 def write_replication_csv(result: MonteCarloResult, path) -> None:

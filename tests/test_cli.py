@@ -242,17 +242,18 @@ def test_replicate_table1_small(tmp_path, capsys):
     assert all(line.split(",")[2] == "normal" for line in lines[1:])
 
 
-def test_replicate_workers_env_override(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("table", ["1", "2", "3", "4"])
+def test_replicate_workers_env_override(tmp_path, capsys, monkeypatch, table):
     serial = tmp_path / "serial.csv"
     code, _, _ = run(
-        capsys, "replicate", "--table", "3", "--setting", "A",
+        capsys, "replicate", "--table", table, "--setting", "A",
         "--reps", "2", "--seed", "6", "--out", str(serial), "--workers", "1",
     )
     assert code == 0
     monkeypatch.setenv("RTFA_WORKERS", "2")
     parallel = tmp_path / "parallel.csv"
     code, _, _ = run(
-        capsys, "replicate", "--table", "3", "--setting", "A",
+        capsys, "replicate", "--table", table, "--setting", "A",
         "--reps", "2", "--seed", "6", "--out", str(parallel), "--workers", "1",
     )
     assert code == 0

@@ -24,7 +24,8 @@ from rtfa import (
     subspace_distance,
     sym_eig,
 )
-from rtfa.estimation import _sweep_cov, _weights_from_scales
+from rtfa import estimation
+from rtfa.estimation import _subspace_change, _sweep_cov, _weights_from_scales
 
 rng = np.random.default_rng(3)
 
@@ -92,6 +93,19 @@ def test_config_accepts_numpy_integer_max_iter():
     assert EstimationConfig(ranks=(2, 2), max_iter=np.int64(4)).max_iter == 4
 
 
+@pytest.mark.parametrize("ranks", [(2.7, 2), (2.0, 2), (2, "2"), (2, math.nan)])
+def test_config_rejects_non_integer_ranks(ranks):
+    # int() would truncate 2.7 to 2 and fit a rank nobody asked for
+    with pytest.raises(ValueError, match="ranks must be integers"):
+        EstimationConfig(ranks=ranks)
+
+
+def test_config_accepts_numpy_integer_ranks():
+    config = EstimationConfig(ranks=(np.int64(2), np.int32(3)))
+    assert config.ranks == (2, 3)
+    assert all(type(r) is int for r in config.ranks)
+
+
 def test_config_rejects_least_squares_alias():
     with pytest.raises(ValueError, match="unknown method"):
         EstimationConfig(ranks=(2, 2), method="least_squares")
@@ -124,6 +138,9 @@ def test_initial_estimator_errors():
         initial_estimator(xs, (2, 2, 2))
     with pytest.raises(ValueError):
         initial_estimator(xs[:0], (2, 2))
+    with pytest.raises(ValueError, match="ranks must be integers"):
+        initial_estimator(xs, (1.9, 2))
+    assert initial_estimator(xs, (np.int64(1), 2)).ranks == (1, 2)
 
 
 def test_initial_estimator_worse_than_converged():
@@ -414,6 +431,54 @@ def test_fit_iteration_bookkeeping():
     assert result.converged
     assert result.per_iteration_subspace_change[-1] < 1e-6
     assert result.tau_used is None
+
+
+def normalized(p, r, generator):
+    return math.sqrt(p) * np.linalg.qr(generator.standard_normal((p, r)))[0]
+
+
+@pytest.mark.parametrize("p, r", [(1, 1), (5, 1), (6, 3), (10, 3), (4, 4), (20, 7)])
+def test_subspace_change_matches_subspace_distance(p, r):
+    generator = np.random.default_rng(p * 100 + r)
+    for _ in range(20):
+        a, b = normalized(p, r, generator), normalized(p, r, generator)
+        assert abs(_subspace_change(a, b) - subspace_distance(a, b)) <= 1e-12
+        # a small perturbation: the distance near 0 stays accurate
+        c = normalized(p, r, generator) * 1e-7 + a
+        c = math.sqrt(p) * np.linalg.qr(c)[0]
+        assert abs(_subspace_change(a, c) - subspace_distance(a, c)) <= 1e-12
+        assert _subspace_change(a, a) == 0.0
+        assert _subspace_change(a, a[:, ::-1]) <= 1e-15  # same span, other basis
+
+
+def test_subspace_change_orthogonal_spans():
+    a = math.sqrt(6) * np.eye(6)[:, :3]
+    b = math.sqrt(6) * np.eye(6)[:, 3:]
+    assert _subspace_change(a, b) == 1.0 == subspace_distance(a, b)
+
+
+@pytest.mark.parametrize("method", ["ls", "huber"])
+@pytest.mark.parametrize("dims, ranks, T, law", [
+    ((10, 10, 10), (3, 3, 3), 50, "tensor_normal"),
+    ((10, 10, 10), (3, 3, 3), 20, "tensor_t"),
+    ((12,), (3,), 40, "tensor_t"),
+    ((6, 4), (2, 4), 30, "tensor_normal"),
+], ids=["A-normal", "A-t3", "K1", "full-rank-mode"])
+def test_fit_stop_rule_matches_subspace_distance(monkeypatch, method, dims, ranks, T, law):
+    # the stop rule's own distance gives the same sweeps, loadings and factors
+    # as the public subspace_distance it replaces
+    x = gen_dataset(DgpConfig(dims=dims, T=T, ranks=ranks, noise_law=law, seed=41)).observations
+    config = EstimationConfig(ranks=ranks, method=method)
+    got = fit(x, config)
+    monkeypatch.setattr(estimation, "_subspace_change", subspace_distance)
+    want = fit(x, config)
+    assert got.iterations_run == want.iterations_run
+    assert got.converged == want.converged
+    for a, b in zip(got.loadings.mats, want.loadings.mats):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.factors, want.factors)
+    np.testing.assert_allclose(got.per_iteration_subspace_change,
+                               want.per_iteration_subspace_change, rtol=0, atol=1e-12)
 
 
 def test_fit_fixed_tau_recorded():

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from rtfa import (
     write_aggregate_csv,
     write_replication_csv,
 )
+from rtfa import simulate
 from rtfa.simulate import _BLOCK_BYTES, SimulatedDataset, _kron_factor_chols
 from rtfa.tensor import series_multi_mode_product
 
@@ -224,6 +229,56 @@ def test_monte_carlo_rejects_bad_reps():
         run_monte_carlo(dgp, EstimationConfig(ranks=(2, 2)), reps=0)
 
 
+PAIRS = [
+    pytest.param((EstimationConfig(ranks=(2, 2, 2)),
+                  EstimationConfig(ranks=(2, 2, 2), method="huber")), id="fit-ls-huber"),
+    pytest.param((RankConfig(r_max=4), RankConfig(r_max=4, method="huber")), id="rank-ls-huber"),
+    pytest.param((RankConfig(r_max=4, method="huber"), EstimationConfig(ranks=(2, 2, 2)),
+                  RankConfig(r_max=4)), id="rank-fit-rank"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("ests", PAIRS)
+def test_monte_carlo_sequence_matches_each_config_alone(ests, workers):
+    dgp = DgpConfig(dims=(7, 6, 5), T=25, ranks=(2, 2, 2), noise_law="tensor_t", seed=19)
+    paired = run_monte_carlo(dgp, list(ests), reps=3, workers=workers)
+    assert isinstance(paired, list) and len(paired) == len(ests)
+    for est, got in zip(ests, paired):
+        alone = run_monte_carlo(dgp, est, reps=3, workers=1)
+        assert got.rows == alone.rows
+        assert got.aggregate == alone.aggregate
+
+
+def test_monte_carlo_sequence_draws_each_replication_once(monkeypatch):
+    calls = []
+    real = simulate.gen_dataset
+    monkeypatch.setattr(simulate, "gen_dataset",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    dgp = DgpConfig(dims=(5, 5), T=10, ranks=(2, 2), seed=20)
+    results = run_monte_carlo(dgp, (EstimationConfig(ranks=(2, 2)), RankConfig(r_max=3)), reps=2)
+    assert len(results) == 2
+    assert len(calls) == 2
+
+
+def test_monte_carlo_rejects_empty_sequence():
+    dgp = DgpConfig(dims=(5, 5), T=10, ranks=(2, 2), seed=17)
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="at least one"):
+            run_monte_carlo(dgp, empty, reps=1)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # run_monte_carlo imports the pool only when it starts workers, so
+    # importing the package and the CLI does not pull in multiprocessing
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, rtfa, rtfa.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_csv_writers(tmp_path):
     dgp = DgpConfig(dims=(5, 5), T=10, ranks=(2, 2), seed=18)
     mc = run_monte_carlo(dgp, EstimationConfig(ranks=(2, 2)), reps=2)
@@ -334,7 +389,9 @@ def test_gen_dataset_zero_noise_matches_whole_array():
     EstimationConfig(ranks=(3, 3, 3), method="ls"),
     EstimationConfig(ranks=(3, 3, 3), method="huber"),
     RankConfig(r_max=8, method="huber"),
-], ids=["fit-ls", "fit-huber", "rank-huber"])
+    [EstimationConfig(ranks=(3, 3, 3), method=m) for m in ("ls", "huber")],
+    [RankConfig(r_max=8, method=m) for m in ("ls", "huber")],
+], ids=["fit-ls", "fit-huber", "rank-huber", "fit-pair", "rank-pair"])
 def test_replication_peak_memory(est):
     # one setting-C replication holds at most a few series at a time: the
     # blocked noise, then the dataset, then the estimate against the truth
