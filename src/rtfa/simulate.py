@@ -23,7 +23,7 @@ from .estimation import (
     common_components,
     fit,
 )
-from .metrics import mse_common, orthonormal_basis, subspace_distance
+from .metrics import _mse, orthonormal_basis, subspace_distance
 from .ranks import RankConfig, estimate_ranks
 from .tensor import series_multi_mode_product
 
@@ -144,12 +144,15 @@ def gen_noise(
     covariances); under law "tensor_t" each innovation slice is additionally
     divided by sqrt(chi2(dof)/dof), one mixing draw per slice.
 
-    The burn_in + T + 1 standard normals are drawn first and the mixing draws
-    after them, as one array each.  The Cholesky products, the mixing and the
-    recursion then run in time blocks of about ``_BLOCK_BYTES``, carrying the
-    last slice from block to block, and only the T retained slices are stored:
-    the result is a compact (T, p_1, ..., p_K) array, bit-identical to the
-    same steps run over the whole series at once.
+    The burn_in + T + 1 standard normals are drawn first, in stream order, as
+    two arrays: the burn_in + 1 burn-in slices, then the T retained slices,
+    which become the result.  The mixing draws follow them.  The Cholesky
+    products, the mixing and the recursion then run in time blocks of about
+    ``_BLOCK_BYTES``, carrying the last slice from block to block; each block
+    writes its retained slices back over the normals it has used.  The result
+    is a compact (T, p_1, ..., p_K) array, bit-identical to the same steps run
+    over the whole series at once, and the draw holds about one series of
+    burn_in + T + 1 slices, not two.
     """
     if law not in _NOISE_LAWS:
         raise ValueError(f"unknown noise law {law!r}")
@@ -160,14 +163,15 @@ def gen_noise(
     dims = tuple(int(d) for d in dims)
     T = int(T)
     n = int(burn_in) + T
-    z = rng.standard_normal(size=(n + 1, *dims))
+    first = n + 1 - T  # the first retained slice
+    # Two calls draw the same stream as one call for all n + 1 slices.
+    burn = rng.standard_normal(size=(first, *dims))
+    out = rng.standard_normal(size=(T, *dims))
     mix = None
     if law == "tensor_t":
         mix = np.sqrt(rng.chisquare(dof, size=n + 1) / dof).reshape((n + 1,) + (1,) * len(dims))
     chols = _kron_factor_chols(dims)
     scale = math.sqrt(1.0 - psi * psi)
-    first = n + 1 - T  # the first retained slice
-    out = np.empty((T, *dims))
     # Near-equal blocks, so that no block is small enough for the trailing
     # mode's matmul to take another BLAS kernel (a one-row product is a GEMV)
     # than the whole-array product takes: that would change the bits.
@@ -176,7 +180,13 @@ def gen_noise(
     edges = [(n + 1) * b // blocks for b in range(blocks + 1)]
     prev = None
     for lo, hi in zip(edges, edges[1:]):
-        u = series_multi_mode_product(z[lo:hi], chols)
+        if hi <= first:
+            z = burn[lo:hi]
+        elif lo >= first:
+            z = out[lo - first:hi - first]
+        else:  # the block straddles the two arrays
+            z = np.concatenate((burn[lo:], out[:hi - first]))
+        u = series_multi_mode_product(z, chols)
         if mix is not None:
             u /= mix[lo:hi]
         for cur in u:
@@ -190,18 +200,14 @@ def gen_noise(
     return out
 
 
-def gen_dataset(config: DgpConfig, rng: np.random.Generator | None = None) -> SimulatedDataset:
-    """Draw one dataset. Draw order is fixed: loadings, factors, noise.
+def _draw(config: DgpConfig, rng: np.random.Generator):
+    """One replication's draws, in their fixed order: loadings, factors, noise.
 
-    Observations are common components plus noise, where the common component
-    uses the raw loadings; the stored loading/factor truth is the normalized
-    representative of the same fit (identical column spaces and identical
-    common components).  The common component is formed after the noise,
-    whose working buffers are then already freed; it draws nothing, so the
-    draws are the same as forming it first.
+    Returns the raw loadings, their normalized representative, the factor
+    cores and the noise series.  The common part draws nothing, so callers
+    form it from (cores, raw) after the noise, whose working buffers are then
+    already freed.
     """
-    if rng is None:
-        rng = replication_rng(config.seed)
     raw, normalized = gen_loadings(config.dims, config.ranks, rng)
     cores = gen_factors(config.ranks, config.T, config.phi, rng, config.burn_in)
     if config.zero_noise:
@@ -216,6 +222,23 @@ def gen_dataset(config: DgpConfig, rng: np.random.Generator | None = None) -> Si
             dof=config.t_dof,
             burn_in=config.burn_in,
         )
+    return raw, normalized, cores, noise
+
+
+def gen_dataset(config: DgpConfig, rng: np.random.Generator | None = None) -> SimulatedDataset:
+    """Draw one dataset. Draw order is fixed: loadings, factors, noise.
+
+    Observations are common components plus noise, where the common component
+    uses the raw loadings; the stored loading/factor truth is the normalized
+    representative of the same fit (identical column spaces and identical
+    common components).  The common component draws nothing, so forming it
+    after the noise gives the same draws as forming it first.  The Monte
+    Carlo engine shares these draws but keeps fewer of the fields: see
+    :func:`run_monte_carlo`.
+    """
+    if rng is None:
+        rng = replication_rng(config.seed)
+    raw, normalized, cores, noise = _draw(config, rng)
     common = series_multi_mode_product(cores, raw)
     transforms = [n.T @ a / n.shape[0] for n, a in zip(normalized.mats, raw)]
     true_factors = series_multi_mode_product(cores, transforms)
@@ -244,17 +267,18 @@ class MonteCarloResult:
 def _replication_rows(task) -> list[list[Row]]:
     """One replication's rows for each config in ``ests``, from one draw."""
     dgp, ests, rep = task
-    ds = gen_dataset(dgp, rng=replication_rng(dgp.seed, rep))
-    # Keep only what the rows need (the common part only if some config fits),
-    # and let the observations go once the last estimator returns, so that a
-    # replication holds few series at a time.
-    x, common, truth = ds.observations, ds.true_common, ds.true_loadings
-    del ds
-    if all(isinstance(est, RankConfig) for est in ests):
-        common = None
+    raw, truth, cores, x = _draw(dgp, replication_rng(dgp.seed, rep))
+    # The observations are formed in place over the noise (IEEE addition
+    # commutes, so the bits are those of common + noise), and the common part
+    # is rebuilt for the MSE rows after the last estimator returns: a
+    # replication holds about two series at a time, not three.
+    x += series_multi_mode_product(cores, raw)
     results = [estimate_ranks(x, est) if isinstance(est, RankConfig) else fit(x, est)
                for est in ests]
     del x
+    common = None
+    if not all(isinstance(est, RankConfig) for est in ests):
+        common = series_multi_mode_product(cores, raw)
     per_est: list[list[Row]] = []
     for est, result in zip(ests, results):
         rows: list[Row] = []
@@ -267,7 +291,8 @@ def _replication_rows(task) -> list[list[Row]]:
                 d = subspace_distance(a_hat, truth.mats[k])
                 rows.append((rep, k + 1, "distance", d))
             s_hat = common_components(result.loadings, result.factors)
-            rows.append((rep, None, "mse", mse_common(s_hat, common)))
+            rows.append((rep, None, "mse", _mse(s_hat, common, out=s_hat)))
+            del s_hat  # before the next config's reconstruction
         per_est.append(rows)
     return per_est
 
@@ -301,9 +326,16 @@ def run_monte_carlo(
     non-empty sequence of configs, giving one result per config in the same
     order.  A sequence draws each replication once and runs every config on
     that draw; each result equals the one its config gives alone.
+
+    A replication forms its observations in place over the noise draw and
+    rebuilds the common part for the MSE rows once the estimators have
+    returned, so it holds about two series at a time.  ``reps`` and
+    ``workers`` must be integers; ``workers <= 1`` runs serially.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    if not isinstance(reps, numbers.Integral) or reps < 1:
+        raise ValueError("reps must be an integer >= 1")
+    if not isinstance(workers, numbers.Integral):
+        raise ValueError("workers must be an integer")
     single = isinstance(est, (EstimationConfig, RankConfig))
     ests = (est,) if single else tuple(est)
     if not ests:

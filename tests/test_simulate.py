@@ -13,6 +13,7 @@ from rtfa import (
     EstimationConfig,
     RankConfig,
     common_components,
+    estimate_ranks,
     fit,
     gen_dataset,
     gen_factors,
@@ -182,9 +183,13 @@ def test_gen_dataset_deterministic_by_seed():
     assert np.array_equal(d1.observations, d2.observations)
 
 
-def test_monte_carlo_single_rep_matches_direct_run():
-    dgp = DgpConfig(dims=(6, 6, 6), T=20, ranks=(2, 2, 2), seed=14)
-    est = EstimationConfig(ranks=(2, 2, 2), method="huber")
+@pytest.mark.parametrize("law", ["tensor_normal", "tensor_t"])
+@pytest.mark.parametrize("method", ["ls", "huber"])
+def test_monte_carlo_single_rep_matches_direct_run(method, law):
+    # the public path is the oracle for the in-place observations and the
+    # common part the replication rebuilds for its MSE row
+    dgp = DgpConfig(dims=(6, 6, 6), T=20, ranks=(2, 2, 2), noise_law=law, seed=14)
+    est = EstimationConfig(ranks=(2, 2, 2), method=method)
     mc = run_monte_carlo(dgp, est, reps=1)
     ds = gen_dataset(dgp, rng=replication_rng(14, 0))
     result = fit(ds.observations, est)
@@ -200,6 +205,15 @@ def test_monte_carlo_single_rep_matches_direct_run():
     for (name, mean, sd), val in zip(mc.aggregate, expected):
         assert mean == val
         assert sd == 0.0
+
+
+def test_monte_carlo_single_rank_rep_matches_direct_run():
+    dgp = DgpConfig(dims=(8, 8, 8), T=60, ranks=(2, 2, 2), noise_law="tensor_t", seed=16)
+    est = RankConfig(r_max=5, method="huber")
+    mc = run_monte_carlo(dgp, est, reps=1)
+    ranks = estimate_ranks(gen_dataset(dgp, rng=replication_rng(16, 0)).observations, est).ranks
+    assert mc.rows == [(0, k + 1, "rank", float(r)) for k, r in enumerate(ranks)] + [
+        (0, None, "exact", 1.0 if ranks == dgp.ranks else 0.0)]
 
 
 def test_monte_carlo_worker_invariance():
@@ -223,10 +237,21 @@ def test_monte_carlo_rank_config_rows():
     assert "exact" in names
 
 
-def test_monte_carlo_rejects_bad_reps():
+@pytest.mark.parametrize("kwargs", [
+    {"reps": 0}, {"reps": 2.5}, {"reps": math.nan},
+    {"reps": 1, "workers": 2.5}, {"reps": 1, "workers": math.nan},
+], ids=["reps-0", "reps-float", "reps-nan", "workers-float", "workers-nan"])
+def test_monte_carlo_rejects_bad_reps(kwargs):
     dgp = DgpConfig(dims=(5, 5), T=10, ranks=(2, 2), seed=17)
     with pytest.raises(ValueError):
-        run_monte_carlo(dgp, EstimationConfig(ranks=(2, 2)), reps=0)
+        run_monte_carlo(dgp, EstimationConfig(ranks=(2, 2)), **kwargs)
+
+
+def test_monte_carlo_accepts_numpy_integer_counts():
+    dgp = DgpConfig(dims=(5, 5), T=10, ranks=(2, 2), seed=17)
+    est = EstimationConfig(ranks=(2, 2))
+    got = run_monte_carlo(dgp, est, reps=np.int64(2), workers=np.int64(0))
+    assert got.rows == run_monte_carlo(dgp, est, reps=2).rows
 
 
 PAIRS = [
@@ -252,8 +277,8 @@ def test_monte_carlo_sequence_matches_each_config_alone(ests, workers):
 
 def test_monte_carlo_sequence_draws_each_replication_once(monkeypatch):
     calls = []
-    real = simulate.gen_dataset
-    monkeypatch.setattr(simulate, "gen_dataset",
+    real = simulate._draw
+    monkeypatch.setattr(simulate, "_draw",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     dgp = DgpConfig(dims=(5, 5), T=10, ranks=(2, 2), seed=20)
     results = run_monte_carlo(dgp, (EstimationConfig(ranks=(2, 2)), RankConfig(r_max=3)), reps=2)
@@ -393,8 +418,9 @@ def test_gen_dataset_zero_noise_matches_whole_array():
     [RankConfig(r_max=8, method=m) for m in ("ls", "huber")],
 ], ids=["fit-ls", "fit-huber", "rank-huber", "fit-pair", "rank-pair"])
 def test_replication_peak_memory(est):
-    # one setting-C replication holds at most a few series at a time: the
-    # blocked noise, then the dataset, then the estimate against the truth
+    # one setting-C replication holds about two series at a time: the split
+    # noise draw, then the observations formed over the noise with the common
+    # part, then the estimate against the rebuilt common part
     dgp = DgpConfig(dims=(20, 20, 20), T=200, ranks=(3, 3, 3), noise_law="tensor_t", seed=34)
     observation_bytes = 8 * dgp.T * math.prod(dgp.dims)
     tracemalloc.start()
@@ -403,4 +429,18 @@ def test_replication_peak_memory(est):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * observation_bytes
+    assert peak < 2.5 * observation_bytes
+
+
+def test_gen_noise_peak_memory():
+    # the retained normals become the result, so the draw holds the
+    # burn_in + T + 1 normals and a few blocks, not another T slices
+    dims, T, burn_in = (20, 20, 20), 200, 100
+    rng = replication_rng(35)  # outside the trace: the first one imports numpy.random
+    tracemalloc.start()
+    try:
+        gen_noise(dims, T, 0.1, rng, law="tensor_t", burn_in=burn_in)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (burn_in + T + 1) * math.prod(dims) + 4 * _BLOCK_BYTES

@@ -4,8 +4,9 @@ Each cell is one `rtfa replicate` command, run as a fresh process with one
 BLAS thread.  The parent and the change run in alternating pairs (the parent
 first in even pairs, the change first in odd ones), and every pair checks that
 both sides wrote the same CSV bytes.  The result file holds the environment
-and, per cell and metric, each side's runs, median and quartiles, and the
-number of pairs the change won.
+and, per cell and metric (the child's CPU time and peak resident set, from
+its own resource usage, and the wall time), each side's runs, median and
+quartiles, and the number of pairs the change won.
 
     python tools/bench_replicate.py --parent HEAD~1 --out BENCH.json
 
@@ -45,7 +46,7 @@ CELLS = {
         "table4-C": ["--table", "4", "--setting", "C"],
     }.items()
 }
-METRICS = ("cpu_s", "wall_s")  # both lower is better
+METRICS = ("cpu_s", "wall_s", "peak_rss_mb")  # all lower is better
 
 
 def _git(*args: str) -> str:
@@ -65,16 +66,24 @@ def _parent_tree(rev: str):
 
 
 def _run_cell(tree: Path, argv: list[str], out: Path) -> dict:
-    """One `rtfa replicate` run: its child CPU time, wall time and CSV digest."""
+    """One `rtfa replicate` run: its CPU time, wall time, peak RSS and CSV digest.
+
+    CPU time and peak RSS come from the child's own resource usage.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **THREADS)
     cmd = [sys.executable, "-m", "rtfa.cli", "replicate", *argv, "--out", str(out)]
-    before = os.times()
     start = time.perf_counter()
-    subprocess.run(cmd, env=env, check=True)
+    _, status, usage = os.wait4(os.posix_spawn(sys.executable, cmd, env), 0)
     wall = time.perf_counter() - start
-    after = os.times()
-    cpu = (after.children_user - before.children_user) + (after.children_system - before.children_system)
-    return {"cpu_s": cpu, "wall_s": wall, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise subprocess.CalledProcessError(code, cmd)
+    return {
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "wall_s": wall,
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,  # ru_maxrss is in KiB on Linux
+        "sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+    }
 
 
 def _summary(values: list[float]) -> dict:
@@ -102,7 +111,8 @@ def main(argv=None) -> int:
                 for side in order:
                     runs[name][side].append(got[side])
                 print(f"pair {i + 1}/{PAIRS} {name}: " + ", ".join(
-                    f"{side} {got[side]['cpu_s']:.3f} s cpu" for side in order), file=sys.stderr)
+                    f"{side} {got[side]['cpu_s']:.3f} s cpu {got[side]['peak_rss_mb']:.1f} MB"
+                    for side in order), file=sys.stderr)
 
     result = {
         "tool": "tools/bench_replicate.py",
