@@ -48,13 +48,12 @@ def mse_common(est: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
-    return _mse(est, truth)
+    return _mse(est - truth)
 
 
-def _mse(est: np.ndarray, truth: np.ndarray, out: np.ndarray | None = None) -> float:
-    """:func:`mse_common` without its checks; the error goes into ``out`` if given."""
-    diff = np.subtract(est, truth, out=out)
-    return float(np.mean(np.square(diff, out=diff)))
+def _mse(err: np.ndarray) -> float:
+    """Mean of squares of an error array, squared in place."""
+    return float(np.mean(np.square(err, out=err)))
 
 
 def relative_mse(x: np.ndarray, s_hat: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from .tensor import series_multi_mode_product
 
 _NOISE_LAWS = {"tensor_normal", "tensor_t"}
 
-# gen_noise's time-block size: its blocks hold about this many bytes of slices.
+# The DGP's time-block size: its blocks hold about this many bytes of slices.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -119,6 +119,17 @@ def gen_factors(ranks, T: int, phi: float, rng: np.random.Generator, burn_in: in
     return out[n - T + 1:]
 
 
+def _time_blocks(n: int, dims, min_len: int = 1) -> list[tuple[int, int]]:
+    """[0, n) cut into near-equal (lo, hi) blocks of about ``_BLOCK_BYTES`` of
+    slices, each of ``min_len`` slices or more where n allows.  Near-equal, so
+    that no block's matrix product is small enough for the BLAS to round it
+    unlike the whole array's (a one-row product is a GEMV, for one)."""
+    step = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
+    blocks = max(1, min(-(-n // step), n // min_len))
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _kron_factor_chols(dims) -> list[np.ndarray]:
     """Cholesky factor of each per-mode covariance (1 diagonal, 1/p_k off)."""
     chols = []
@@ -144,15 +155,9 @@ def gen_noise(
     covariances); under law "tensor_t" each innovation slice is additionally
     divided by sqrt(chi2(dof)/dof), one mixing draw per slice.
 
-    The burn_in + T + 1 standard normals are drawn first, in stream order, as
-    two arrays: the burn_in + 1 burn-in slices, then the T retained slices,
-    which become the result.  The mixing draws follow them.  The Cholesky
-    products, the mixing and the recursion then run in time blocks of about
-    ``_BLOCK_BYTES``, carrying the last slice from block to block; each block
-    writes its retained slices back over the normals it has used.  The result
-    is a compact (T, p_1, ..., p_K) array, bit-identical to the same steps run
-    over the whole series at once, and the draw holds about one series of
-    burn_in + T + 1 slices, not two.
+    The burn_in + T + 1 standard normals come first in the stream, then the
+    mixing draws.  The result is a compact (T, p_1, ..., p_K) array,
+    bit-identical to the same steps run over the whole series at once.
     """
     if law not in _NOISE_LAWS:
         raise ValueError(f"unknown noise law {law!r}")
@@ -172,14 +177,8 @@ def gen_noise(
         mix = np.sqrt(rng.chisquare(dof, size=n + 1) / dof).reshape((n + 1,) + (1,) * len(dims))
     chols = _kron_factor_chols(dims)
     scale = math.sqrt(1.0 - psi * psi)
-    # Near-equal blocks, so that no block is small enough for the trailing
-    # mode's matmul to take another BLAS kernel (a one-row product is a GEMV)
-    # than the whole-array product takes: that would change the bits.
-    step = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
-    blocks = -(-(n + 1) // step)
-    edges = [(n + 1) * b // blocks for b in range(blocks + 1)]
     prev = None
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in _time_blocks(n + 1, dims):
         if hi <= first:
             z = burn[lo:hi]
         elif lo >= first:
@@ -268,31 +267,35 @@ def _replication_rows(task) -> list[list[Row]]:
     """One replication's rows for each config in ``ests``, from one draw."""
     dgp, ests, rep = task
     raw, truth, cores, x = _draw(dgp, replication_rng(dgp.seed, rep))
-    # The observations are formed in place over the noise (IEEE addition
-    # commutes, so the bits are those of common + noise), and the common part
-    # is rebuilt for the MSE rows after the last estimator returns: a
-    # replication holds about two series at a time, not three.
-    x += series_multi_mode_product(cores, raw)
+    # Time blocks of two slices or more keep the whole-array bits up to a
+    # width of 192 and a rank of 31; past those, OpenBLAS 0.3.31 (AVX-512)
+    # rounds a product of few rows unlike one of many: one block then.
+    ranks = [r for c in (dgp, *ests) if not isinstance(c, RankConfig) for r in c.ranks]
+    blocks = [(0, dgp.T)]
+    if max(dgp.dims) <= 192 and max(ranks) < 32:
+        blocks = _time_blocks(dgp.T, dgp.dims, min_len=2)
+    # The observations, formed over the noise: IEEE addition commutes, so the
+    # bits are those of common + noise.
+    for lo, hi in blocks:
+        x[lo:hi] += series_multi_mode_product(cores[lo:hi], raw)
     results = [estimate_ranks(x, est) if isinstance(est, RankConfig) else fit(x, est)
                for est in ests]
+    # Every estimator has returned: the observation buffer is spent, and takes
+    # each fit's error against the common part in turn.
+    err = x
     del x
-    common = None
-    if not all(isinstance(est, RankConfig) for est in ests):
-        common = series_multi_mode_product(cores, raw)
     per_est: list[list[Row]] = []
     for est, result in zip(ests, results):
-        rows: list[Row] = []
         if isinstance(est, RankConfig):
-            for k, r in enumerate(result.ranks):
-                rows.append((rep, k + 1, "rank", float(r)))
+            rows = [(rep, k + 1, "rank", float(r)) for k, r in enumerate(result.ranks)]
             rows.append((rep, None, "exact", 1.0 if result.ranks == dgp.ranks else 0.0))
         else:
-            for k, a_hat in enumerate(result.loadings.mats):
-                d = subspace_distance(a_hat, truth.mats[k])
-                rows.append((rep, k + 1, "distance", d))
-            s_hat = common_components(result.loadings, result.factors)
-            rows.append((rep, None, "mse", _mse(s_hat, common, out=s_hat)))
-            del s_hat  # before the next config's reconstruction
+            rows = [(rep, k + 1, "distance", subspace_distance(a_hat, a))
+                    for k, (a_hat, a) in enumerate(zip(result.loadings.mats, truth.mats))]
+            for lo, hi in blocks:
+                err[lo:hi] = common_components(result.loadings, result.factors[lo:hi])
+                err[lo:hi] -= series_multi_mode_product(cores[lo:hi], raw)
+            rows.append((rep, None, "mse", _mse(err)))
         per_est.append(rows)
     return per_est
 
@@ -327,10 +330,7 @@ def run_monte_carlo(
     order.  A sequence draws each replication once and runs every config on
     that draw; each result equals the one its config gives alone.
 
-    A replication forms its observations in place over the noise draw and
-    rebuilds the common part for the MSE rows once the estimators have
-    returned, so it holds about two series at a time.  ``reps`` and
-    ``workers`` must be integers; ``workers <= 1`` runs serially.
+    ``reps`` and ``workers`` must be integers; ``workers <= 1`` runs serially.
     """
     if not isinstance(reps, numbers.Integral) or reps < 1:
         raise ValueError("reps must be an integer >= 1")

@@ -183,28 +183,45 @@ def test_gen_dataset_deterministic_by_seed():
     assert np.array_equal(d1.observations, d2.observations)
 
 
-@pytest.mark.parametrize("law", ["tensor_normal", "tensor_t"])
-@pytest.mark.parametrize("method", ["ls", "huber"])
-def test_monte_carlo_single_rep_matches_direct_run(method, law):
-    # the public path is the oracle for the in-place observations and the
-    # common part the replication rebuilds for its MSE row
-    dgp = DgpConfig(dims=(6, 6, 6), T=20, ranks=(2, 2, 2), noise_law=law, seed=14)
-    est = EstimationConfig(ranks=(2, 2, 2), method=method)
+def assert_rep_matches_direct_run(dgp, est):
+    # the public whole-array path is the oracle for the observations and the
+    # MSE error that the replication forms in time blocks
     mc = run_monte_carlo(dgp, est, reps=1)
-    ds = gen_dataset(dgp, rng=replication_rng(14, 0))
+    ds = gen_dataset(dgp, rng=replication_rng(dgp.seed, 0))
     result = fit(ds.observations, est)
     expected = [
-        subspace_distance(result.loadings.mats[k], ds.true_loadings.mats[k]) for k in range(3)
+        subspace_distance(a_hat, a) for a_hat, a in zip(result.loadings.mats, ds.true_loadings.mats)
     ]
     s_hat = common_components(result.loadings, result.factors)
     expected.append(mse_common(s_hat, ds.true_common))
     values = [row[3] for row in mc.rows]
     assert values == expected
     names = [name for name, _, _ in mc.aggregate]
-    assert names == ["distance_mode1", "distance_mode2", "distance_mode3", "mse"]
+    assert names == [f"distance_mode{k + 1}" for k in range(len(dgp.dims))] + ["mse"]
     for (name, mean, sd), val in zip(mc.aggregate, expected):
         assert mean == val
         assert sd == 0.0
+
+
+@pytest.mark.parametrize("law", ["tensor_normal", "tensor_t"])
+@pytest.mark.parametrize("method", ["ls", "huber"])
+def test_monte_carlo_single_rep_matches_direct_run(method, law):
+    dgp = DgpConfig(dims=(6, 6, 6), T=20, ranks=(2, 2, 2), noise_law=law, seed=14)
+    assert_rep_matches_direct_run(dgp, EstimationConfig(ranks=(2, 2, 2), method=method))
+
+
+@pytest.mark.parametrize("method", ["ls", "huber"])
+@pytest.mark.parametrize("dims, T, ranks", [
+    pytest.param((20, 20, 20), 203, (3, 3, 3), id="uneven-blocks"),
+    pytest.param((70, 40, 30), 5, (3, 1, 1), id="slices-over-a-block"),
+    # past the widths and ranks where time blocks keep the bits, one block
+    pytest.param((4, 300), 100, (2, 2), id="wide-mode"),
+    pytest.param((2, 204), 1000, (2, 2), id="wide-last-mode"),
+    pytest.param((40, 100), 800, (32, 1), id="rank-32"),
+])
+def test_monte_carlo_blocked_rep_matches_direct_run(dims, T, ranks, method):
+    dgp = DgpConfig(dims=dims, T=T, ranks=ranks, noise_law="tensor_t", seed=14)
+    assert_rep_matches_direct_run(dgp, EstimationConfig(ranks=ranks, method=method))
 
 
 def test_monte_carlo_single_rank_rep_matches_direct_run():
@@ -376,6 +393,7 @@ BLOCKED_CASES = [
     pytest.param((6, 5, 4), 1, 0, id="T1-no-burn-in"),
     pytest.param((50,), _ONE_OVER, 100, id="K1-one-slice-over"),
     pytest.param((8, 7, 6, 5), 50, 20, id="K4"),
+    pytest.param((30, 30, 30), 20, 10, id="one-slice-block"),
 ]
 
 
@@ -410,6 +428,56 @@ def test_gen_dataset_zero_noise_matches_whole_array():
         assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
+def time_blocks_whole(n, dims):
+    # the plain tiling: near-equal blocks of at most _BLOCK_BYTES
+    step = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
+    blocks = -(-n // step)
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("n, dims", [
+    (1, (6, 5, 4)), (2, (6, 5, 4)), (301, (20, 20, 20)), (203, (20, 20, 20)),
+    (_ONE_OVER + 101, (50,)), (3000, (50,)), (70, (8, 7, 6, 5)), (301, (30, 30, 30)),
+    (3, (70, 40, 30)), (6, (70, 40, 30)), (7, (70, 40, 30)), (5, (200, 30, 30)),
+])
+@pytest.mark.parametrize("min_len", [1, 2])
+def test_time_blocks_tile_in_near_equal_blocks(n, dims, min_len):
+    blocks = simulate._time_blocks(n, dims, min_len)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    sizes = [hi - lo for lo, hi in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    # gen_noise's tiling is the plain one; with min_len 2 no block's matmul
+    # is a one-row GEMV, and the tiling is otherwise the plain one
+    whole = time_blocks_whole(n, dims)
+    if min_len == 1 or n == 1 or min(hi - lo for lo, hi in whole) >= 2:
+        assert blocks == whole
+    else:
+        assert min(sizes) >= 2 and len(blocks) == n // 2
+
+
+@pytest.mark.parametrize("dims, T, ranks", [
+    pytest.param((20, 20, 20), 203, (3, 3, 3), id="uneven-blocks"),
+    pytest.param((20, 20, 20), 50, (1, 1, 1), id="rk1"),
+    pytest.param((70, 40, 30), 7, (2, 2, 2), id="slices-over-a-block"),
+    pytest.param((70, 40, 30), 6, (3, 1, 1), id="slices-over-a-block-rk1-trailing"),
+    pytest.param((6, 5, 4), 1, (2, 2, 2), id="T1"),
+    pytest.param((50,), 3000, (3,), id="K1"),
+    pytest.param((8, 7, 6, 5), 70, (2, 3, 1, 2), id="K4"),
+    # the widest mode and the largest rank that still take time blocks
+    pytest.param((192, 3), 400, (31, 1), id="width-192-rank-31"),
+])
+def test_blocked_common_part_matches_whole_array(dims, T, ranks):
+    rng = replication_rng(36)
+    raw, _ = gen_loadings(dims, ranks, rng)
+    cores = gen_factors(ranks, T, 0.1, rng)
+    blocks = simulate._time_blocks(T, dims, min_len=2)
+    got = np.concatenate([series_multi_mode_product(cores[lo:hi], raw) for lo, hi in blocks])
+    assert same_bits(got, series_multi_mode_product(cores, raw))
+    assert len(blocks) > 1 or T == 1
+
+
 @pytest.mark.parametrize("est", [
     EstimationConfig(ranks=(3, 3, 3), method="ls"),
     EstimationConfig(ranks=(3, 3, 3), method="huber"),
@@ -418,9 +486,9 @@ def test_gen_dataset_zero_noise_matches_whole_array():
     [RankConfig(r_max=8, method=m) for m in ("ls", "huber")],
 ], ids=["fit-ls", "fit-huber", "rank-huber", "fit-pair", "rank-pair"])
 def test_replication_peak_memory(est):
-    # one setting-C replication holds about two series at a time: the split
-    # noise draw, then the observations formed over the noise with the common
-    # part, then the estimate against the rebuilt common part
+    # one setting-C replication holds one series, the observations, plus the
+    # initial estimator's transient copy of it: the common part and the MSE
+    # error are formed in time blocks, the error in the spent observations
     dgp = DgpConfig(dims=(20, 20, 20), T=200, ranks=(3, 3, 3), noise_law="tensor_t", seed=34)
     observation_bytes = 8 * dgp.T * math.prod(dgp.dims)
     tracemalloc.start()
@@ -429,7 +497,7 @@ def test_replication_peak_memory(est):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * observation_bytes
+    assert peak < 2.1 * observation_bytes
 
 
 def test_gen_noise_peak_memory():

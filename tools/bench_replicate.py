@@ -4,9 +4,9 @@ Each cell is one `rtfa replicate` command, run as a fresh process with one
 BLAS thread.  The parent and the change run in alternating pairs (the parent
 first in even pairs, the change first in odd ones), and every pair checks that
 both sides wrote the same CSV bytes.  The result file holds the environment
-and, per cell and metric (the child's CPU time and peak resident set, from
-its own resource usage, and the wall time), each side's runs, median and
-quartiles, and the number of pairs the change won.
+and, per cell and metric (the child's CPU time, peak resident set and minor
+page faults, from its own resource usage, and the wall time), each side's runs,
+median and quartiles, and the number of pairs the change won.
 
     python tools/bench_replicate.py --parent HEAD~1 --out BENCH.json
 
@@ -46,7 +46,7 @@ CELLS = {
         "table4-C": ["--table", "4", "--setting", "C"],
     }.items()
 }
-METRICS = ("cpu_s", "wall_s", "peak_rss_mb")  # all lower is better
+METRICS = ("cpu_s", "wall_s", "peak_rss_mb", "minflt")  # all lower is better
 
 
 def _git(*args: str) -> str:
@@ -66,9 +66,10 @@ def _parent_tree(rev: str):
 
 
 def _run_cell(tree: Path, argv: list[str], out: Path) -> dict:
-    """One `rtfa replicate` run: its CPU time, wall time, peak RSS and CSV digest.
+    """One `rtfa replicate` run: its CPU time, wall time, peak RSS, minor page
+    faults and CSV digest.
 
-    CPU time and peak RSS come from the child's own resource usage.
+    All but the wall time and the digest come from the child's own resource usage.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **THREADS)
     cmd = [sys.executable, "-m", "rtfa.cli", "replicate", *argv, "--out", str(out)]
@@ -82,6 +83,7 @@ def _run_cell(tree: Path, argv: list[str], out: Path) -> dict:
         "cpu_s": usage.ru_utime + usage.ru_stime,
         "wall_s": wall,
         "peak_rss_mb": usage.ru_maxrss / 1024.0,  # ru_maxrss is in KiB on Linux
+        "minflt": usage.ru_minflt,
         "sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
     }
 
