@@ -18,7 +18,7 @@ import numpy as np
 
 from .eig import sym_eig
 from .metrics import _basis_distance
-from .tensor import series_mode_product, series_multi_mode_product
+from .tensor import _ints, series_mode_product, series_multi_mode_product
 
 _METHODS = ("ls", "huber")
 
@@ -90,7 +90,7 @@ class EstimationConfig(_SweepSettings):
     record_diagnostics: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", _int_ranks(self.ranks))
+        object.__setattr__(self, "ranks", _ints(self.ranks, "ranks"))
         self._check_sweep_settings()
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
@@ -107,41 +107,37 @@ class EstimationResult:
     diagnostics: dict | None = None
 
 
-def _int_ranks(ranks) -> tuple[int, ...]:
-    """``ranks`` as a tuple of ints; a rank that is not an integer (2.7, or
-    2.0) is rejected rather than truncated."""
-    ranks = tuple(ranks)
-    if not all(isinstance(r, numbers.Integral) for r in ranks):
-        raise ValueError(f"ranks must be integers, got {ranks!r}")
-    return tuple(int(r) for r in ranks)
-
-
-def _check_series(x: np.ndarray) -> np.ndarray:
-    """The validated series, C-contiguous so that mode products never copy it.
-
-    The public functions that take a series validate it here, except when a
-    caller in this package has validated it already and passes
-    ``_checked=True``: :func:`fit` and ``estimate_ranks`` validate once and
-    hand the series on, through :func:`_sweeps`, to the functions they call."""
+def _as_series(x: np.ndarray) -> np.ndarray:
+    """The series, shape-checked and C-contiguous so that mode products never
+    copy it; O(1) on a C-ordered float series.  The values are checked by the
+    first reduction over them, or by :func:`_check_series` where none comes first."""
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim < 2:
         raise ValueError("expected a series of tensors with time on the leading axis")
     if xs.shape[0] < 1:
         raise ValueError("series must contain at least one slice")
+    return xs
+
+
+def _check_series(x: np.ndarray) -> np.ndarray:
+    """:func:`_as_series` after a full scan for non-finite values."""
+    xs = _as_series(x)
     if not np.isfinite(xs).all():
         raise NumericalError("non-finite values in input series")
     return xs
 
 
-def initial_estimator(x: np.ndarray, ranks, *, _checked: bool = False) -> LoadingSet:
+def initial_estimator(x: np.ndarray, ranks) -> LoadingSet:
     """Per-mode loadings from the unprojected sample covariances.
 
     A_k = sqrt(p_k) x leading r_k eigenvectors of
-    sum_t unfold(X_t, k) @ unfold(X_t, k).T / (T p).
+    sum_t unfold(X_t, k) @ unfold(X_t, k).T / (T p).  Each value enters the
+    mode-0 diagonal squared, where no BLAS skips or cancels it, so the
+    covariances' finite check rejects a non-finite series.
     """
-    xs = x if _checked else _check_series(x)
+    xs = _as_series(x)
     dims = xs.shape[1:]
-    ranks = _int_ranks(ranks)
+    ranks = _ints(ranks, "ranks")
     if len(ranks) != len(dims):
         raise ValueError(f"got {len(ranks)} ranks for an order-{len(dims)} series")
     for k, (r, p_k) in enumerate(zip(ranks, dims)):
@@ -169,7 +165,7 @@ def _gram(ys: np.ndarray, k: int, weights=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         m = u @ u.T
     if not np.isfinite(m).all():
-        raise NumericalError("non-finite covariance")
+        raise NumericalError("non-finite values in input series or overflow in its covariance")
     return m
 
 
@@ -200,7 +196,7 @@ def _scales_from_norms(xs, mats, xnorm2, cnorm2) -> np.ndarray:
     return s
 
 
-def residual_scales(x: np.ndarray, loadings: LoadingSet, *, _checked: bool = False) -> np.ndarray:
+def residual_scales(x: np.ndarray, loadings: LoadingSet) -> np.ndarray:
     """Per-slice residual scale ||X_t - X_t projected onto the loadings||_F / sqrt(p).
 
     Computed through the trace identity ||X_t||^2 - ||core_t||^2 / p without
@@ -210,11 +206,13 @@ def residual_scales(x: np.ndarray, loadings: LoadingSet, *, _checked: bool = Fal
     64 eps ||X_t|| / sqrt(p) is rounding noise and is returned as exactly 0, so
     exactly low-rank slices have zero scale on any BLAS.
     """
-    xs = x if _checked else _check_series(x)
+    xs = _as_series(x)
     flat = xs.reshape(xs.shape[0], -1)
+    xnorm2 = np.einsum("ti,ti->t", flat, flat)
+    if not np.isfinite(xnorm2).all():
+        raise NumericalError("non-finite values in input series or overflow in its slice norms")
     core = series_multi_mode_product(xs, loadings.mats, transpose=True)
     cflat = core.reshape(core.shape[0], -1)
-    xnorm2 = np.einsum("ti,ti->t", flat, flat)
     cnorm2 = np.einsum("ti,ti->t", cflat, cflat)
     return _scales_from_norms(xs, loadings.mats, xnorm2, cnorm2)
 
@@ -225,7 +223,7 @@ def _weights_from_scales(s: np.ndarray, tau: float) -> np.ndarray:
         return np.where(s <= tau, 0.5, 0.5 * tau / s)
 
 
-def default_tau(x: np.ndarray, loadings: LoadingSet, *, _checked: bool = False) -> float:
+def default_tau(x: np.ndarray, loadings: LoadingSet) -> float:
     """Median of the per-slice residual scales (the median rule).
 
     Exactly low-rank data have all-zero scales: :func:`residual_scales` takes
@@ -233,17 +231,16 @@ def default_tau(x: np.ndarray, loadings: LoadingSet, *, _checked: bool = False) 
     64 eps ||X_t|| / sqrt(p).  When the median scale is zero the threshold
     falls back to a floor of 1e-12 and a RuntimeWarning is emitted.
     """
-    xs = x if _checked else _check_series(x)
-    med = float(np.median(residual_scales(xs, loadings, _checked=True)))
+    med = float(np.median(residual_scales(x, loadings)))
     if med <= 0.0:
         warnings.warn("all residual scales are zero; tau floored at 1e-12", RuntimeWarning)
         return 1e-12
     return med
 
 
-def extract_factors(x: np.ndarray, loadings: LoadingSet, *, _checked: bool = False) -> np.ndarray:
+def extract_factors(x: np.ndarray, loadings: LoadingSet) -> np.ndarray:
     """Factor cores F_t = X_t x_1 A_1.T ... x_K A_K.T / p."""
-    xs = x if _checked else _check_series(x)
+    xs = _check_series(x)
     p = math.prod(xs.shape[1:])
     return series_multi_mode_product(xs, loadings.mats, transpose=True) / p
 
@@ -275,35 +272,37 @@ def _sweep_cov(xs: np.ndarray, mats: list[np.ndarray], k: int, huber=None):
 def _sweeps(xs: np.ndarray, ranks, config, keep):
     """The alternating projection that :func:`fit` and ``estimate_ranks`` run.
 
-    Starts from :func:`initial_estimator` at ``ranks`` on the validated series
-    ``xs``.  Each sweep updates the modes in order: mode k's projection factor
-    is built from the current sweep's loadings for modes before k and the
-    previous sweep's for modes after k.  Under a robust ``config`` the slice
-    weights w are recomputed from the previous mode-k loading and that mixed
-    projection factor before each update, with tau from :func:`default_tau`
-    at the initial estimator or the fixed value configured.  Mode k's new
-    loading is sqrt(p_k) times the leading ``keep(k, pair, w)`` eigenvectors
-    of the projected covariance, whose full :func:`sym_eig` is ``pair``.
+    Starts from :func:`initial_estimator` at ``ranks`` on the series ``xs``.
+    Each sweep updates the modes in order: mode k's projection factor is built
+    from the current sweep's loadings for modes before k and the previous
+    sweep's for modes after k.  Under a robust ``config`` the slice weights w
+    are recomputed from the previous mode-k loading and that mixed projection
+    factor before each update, with tau from :func:`default_tau` at the
+    initial estimator or the fixed value configured.  Mode k's new loading is
+    sqrt(p_k) times the leading ``keep(k, eigenvalues)`` eigenvectors of the
+    projected covariance.
 
-    Yields (loadings before the sweep, loadings after it, tau or None) once
-    per sweep, at most ``config.max_iter`` times; the caller stops early by
+    Yields (loadings before the sweep, loadings after it, tau or None, each
+    mode's full :func:`sym_eig` pair, each mode's weights or None) once per
+    sweep, at most ``config.max_iter`` times; the caller stops early by
     leaving the loop.
     """
     dims = xs.shape[1:]
-    ie = initial_estimator(xs, ranks, _checked=True)
+    ie = initial_estimator(xs, ranks)
     mats = list(ie.mats)
     tau = huber = None
     if config.robust:
-        tau = default_tau(xs, ie, _checked=True) if config.tau == "median" else float(config.tau)
+        tau = default_tau(xs, ie) if config.tau == "median" else float(config.tau)
         flat = xs.reshape(len(xs), -1)
         huber = (tau, np.einsum("ti,ti->t", flat, flat))
     for _ in range(config.max_iter):
-        prev = list(mats)
+        prev, pairs, weights = list(mats), [], []
         for k in range(len(dims)):
             m, w = _sweep_cov(xs, mats, k, huber)
-            pair = sym_eig(m)
-            mats[k] = math.sqrt(dims[k]) * pair.vectors[:, :keep(k, pair, w)]
-        yield prev, mats, tau
+            pairs.append(sym_eig(m))
+            weights.append(w)
+            mats[k] = math.sqrt(dims[k]) * pairs[k].vectors[:, :keep(k, pairs[k].values)]
+        yield prev, mats, tau, pairs, weights
 
 
 def _subspace_change(a: np.ndarray, b: np.ndarray) -> float:
@@ -318,7 +317,8 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
 
     Runs the sweeps of :func:`_sweeps`, keeping r_k eigenvectors per mode,
     until the largest per-mode subspace change between sweeps drops below
-    ``config.tol`` (converged) or ``config.max_iter`` sweeps have run.
+    ``config.tol`` (converged) or ``config.max_iter`` sweeps have run.  Warns
+    once per mode whose projected covariance is rank-deficient at r_k.
 
     Returns
     -------
@@ -326,25 +326,17 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
         With factors F_t = X_t x_1 A_1.T ... x_K A_K.T / p from the final
         loadings, and the resolved robust threshold in ``tau_used``.
     """
-    xs = _check_series(x)
-    n_modes = xs.ndim - 1
+    xs = _as_series(x)
     rank_warnings: list[str] = []
-    eigenvalues: list[np.ndarray] = [np.empty(0)] * n_modes
-    last_weights: list[np.ndarray] = [np.empty(0)] * n_modes
-
-    def keep(k, pair, w):
-        r = config.ranks[k]
-        if pair.values[r - 1] <= 1e-14 * max(pair.values[0], 1e-300):
+    changes: list[float] = []
+    for prev, mats, tau, pairs, weights in _sweeps(xs, config.ranks, config,
+                                                   lambda k, values: config.ranks[k]):
+        for k, (pair, r) in enumerate(zip(pairs, config.ranks)):
             msg = f"rank-deficient projected covariance at mode {k}"
-            if msg not in rank_warnings:
+            deficient = pair.values[r - 1] <= 1e-14 * max(pair.values[0], 1e-300)
+            if deficient and msg not in rank_warnings:
                 rank_warnings.append(msg)
                 warnings.warn(msg, RuntimeWarning)
-        eigenvalues[k] = pair.values[:r]
-        last_weights[k] = w
-        return r
-
-    changes: list[float] = []
-    for prev, mats, tau in _sweeps(xs, config.ranks, config, keep):
         changes.append(max(_subspace_change(a, b) for a, b in zip(mats, prev)))
         if changes[-1] < config.tol:
             break
@@ -352,12 +344,13 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
     loadings = LoadingSet(tuple(mats))
     diagnostics = None
     if config.record_diagnostics:
+        eigenvalues = [pair.values[:r] for pair, r in zip(pairs, config.ranks)]
         diagnostics = {"warnings": rank_warnings, "eigenvalues": eigenvalues}
         if config.robust:
-            diagnostics["weights"] = last_weights
+            diagnostics["weights"] = weights
     return EstimationResult(
         loadings=loadings,
-        factors=extract_factors(xs, loadings, _checked=True),
+        factors=extract_factors(xs, loadings),
         iterations_run=len(changes),
         per_iteration_subspace_change=changes,
         converged=changes[-1] < config.tol,

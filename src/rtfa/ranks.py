@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import _ZERO_ULPS, _check_series, _sweeps, _SweepSettings
+from .estimation import _ZERO_ULPS, _as_series, _sweeps, _SweepSettings
+from .tensor import _ints
 
 _REGIMES = {"ge2", "lt2"}
 
@@ -52,9 +53,8 @@ class RateConstants:
 
 def rate_constants(dims, T: int) -> RateConstants:
     """Exact integer minima for the given dimensions and series length."""
-    dims = tuple(int(d) for d in dims)
-    T = int(T)
-    if T < 1 or any(d < 1 for d in dims):
+    *dims, T = _ints((*dims, T), "dims and T")
+    if T < 1 or not dims or any(d < 1 for d in dims):
         raise ValueError("dims and T must be positive")
     p = math.prod(dims)
     p_rest = [p // d for d in dims]
@@ -115,10 +115,12 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
 
     The penalty is c * omega_k^(-1/2) on the least-squares path and
     c * L~^(-1/2) on the robust path, with L~ chosen by epsilon_regime.
+
+    Unlike ``fit`` it never warns on a rank-deficient projected covariance: the
+    ratio rule handles a zero tail by design.  Notes go to ``RankResult.warnings``.
     """
-    xs = _check_series(x)
+    xs = _as_series(x)
     dims = xs.shape[1:]
-    n_modes = len(dims)
 
     notes: list[str] = []
     r_cap = []
@@ -133,26 +135,22 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
     rc = rate_constants(dims, xs.shape[0])
     if config.robust:
         l_tilde = rc.L_star if config.epsilon_regime == "ge2" else rc.L_star_star
-        penalties = [config.c / math.sqrt(l_tilde)] * n_modes
+        penalties = [config.c / math.sqrt(l_tilde)] * len(dims)
     else:
         penalties = [config.c / math.sqrt(w) for w in rc.omega]
 
-    history: list[tuple[int, ...]] = [(config.r_max,) * n_modes]
-    current = [0] * n_modes
-    spectra: list[np.ndarray] = [np.empty(0)] * n_modes
+    def pick(k, values):
+        return eigenvalue_ratio_pick(values, penalties[k], r_cap[k])
 
-    def keep(k, pair, w):
-        current[k] = eigenvalue_ratio_pick(pair.values, penalties[k], r_cap[k])
-        spectra[k] = pair.values
-        if current[k] + 2 > dims[k]:
-            note = f"mode {k}: eigenvector inflation clamped at p_k={dims[k]}"
-            if note not in notes:
-                notes.append(note)
-        return current[k] + 2
-
+    history: list[tuple[int, ...]] = [(config.r_max,) * len(dims)]
     converged = False
-    for _ in _sweeps(xs, tuple(min(config.r_max, d) for d in dims), config, keep):
-        history.append(tuple(current))
+    for *_, pairs, _ in _sweeps(xs, tuple(min(config.r_max, d) for d in dims), config,
+                                lambda k, values: pick(k, values) + 2):
+        history.append(tuple(pick(k, pair.values) for k, pair in enumerate(pairs)))
+        for k, r in enumerate(history[-1]):
+            note = f"mode {k}: eigenvector inflation clamped at p_k={dims[k]}"
+            if r + 2 > dims[k] and note not in notes:
+                notes.append(note)
         if history[-1] == history[-2]:
             converged = True
             break
@@ -160,6 +158,6 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
         ranks=history[-1],
         iterations=history,
         converged=converged,
-        eigenvalues=tuple(spectra),
+        eigenvalues=tuple(pair.values for pair in pairs),
         warnings=notes,
     )

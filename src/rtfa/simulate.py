@@ -25,7 +25,7 @@ from .estimation import (
 )
 from .metrics import _mse, orthonormal_basis, subspace_distance
 from .ranks import RankConfig, estimate_ranks
-from .tensor import series_multi_mode_product
+from .tensor import _ints, series_multi_mode_product
 
 _NOISE_LAWS = {"tensor_normal", "tensor_t"}
 
@@ -35,11 +35,7 @@ _BLOCK_BYTES = 512 * 1024
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """Simulation design.
-
-    zero_noise is a test-only switch producing noiseless observations (the
-    noise draws are skipped entirely).
-    """
+    """Simulation design.  Noiseless data are a dataset's ``true_common``."""
 
     dims: tuple[int, ...]
     T: int
@@ -50,18 +46,15 @@ class DgpConfig:
     t_dof: float = 3.0
     seed: int = 0
     burn_in: int = 100
-    zero_noise: bool = False
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral)
-                   for v in (*self.dims, *self.ranks, self.T, self.burn_in)):
-            raise ValueError("dims, ranks, T and burn_in must be integers")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        _ints((self.T, self.burn_in), "T and burn_in")
+        object.__setattr__(self, "dims", _ints(self.dims, "dims"))
+        object.__setattr__(self, "ranks", _ints(self.ranks, "ranks"))
         if len(self.ranks) != len(self.dims):
             raise ValueError("ranks and dims must have the same length")
-        if any(d < 1 for d in self.dims) or self.T < 1:
-            raise ValueError("dims and T must be positive")
+        if not self.dims or any(d < 1 for d in self.dims) or self.T < 1:
+            raise ValueError("dims must be non-empty, and dims and T positive")
         if any(not 1 <= r <= d for r, d in zip(self.ranks, self.dims)):
             raise ValueError("each rank must satisfy 1 <= r_k <= p_k")
         if not abs(self.phi) < 1 or not abs(self.psi) < 1:
@@ -87,7 +80,7 @@ def replication_rng(seed: int, rep: int | None = None) -> np.random.Generator:
     """Deterministic stream derivation: rep i uses SeedSequence(seed, spawn_key=(i,))."""
     if rep is None:
         return np.random.default_rng(np.random.SeedSequence(seed))
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(rep),)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_ints((rep,), "rep")))
 
 
 def gen_loadings(dims, ranks, rng: np.random.Generator):
@@ -97,7 +90,8 @@ def gen_loadings(dims, ranks, rng: np.random.Generator):
     the same column spaces and satisfies A.T A / p = I for use wherever the
     normalization invariant is required.
     """
-    raw = tuple(rng.uniform(-1.0, 1.0, size=(int(d), int(r))) for d, r in zip(dims, ranks))
+    dims, ranks = _ints(dims, "dims"), _ints(ranks, "ranks")
+    raw = tuple(rng.uniform(-1.0, 1.0, size=(d, r)) for d, r in zip(dims, ranks))
     normalized = LoadingSet(
         tuple(math.sqrt(a.shape[0]) * orthonormal_basis(a) for a in raw)
     )
@@ -108,8 +102,9 @@ def gen_factors(ranks, T: int, phi: float, rng: np.random.Generator, burn_in: in
     """Stationary AR(1) factor cores with unit per-coordinate variance."""
     if not abs(phi) < 1:
         raise ValueError("|phi| must be < 1")
-    shape = tuple(int(r) for r in ranks)
-    n = int(burn_in) + int(T)
+    shape = _ints(ranks, "ranks")
+    T, burn_in = _ints((T, burn_in), "T and burn_in")
+    n = burn_in + T
     eps = rng.standard_normal(size=(n + 1, *shape))
     out = np.empty_like(eps)
     out[0] = eps[0]
@@ -165,9 +160,9 @@ def gen_noise(
         raise ValueError("|psi| must be < 1")
     if law == "tensor_t" and not dof > 2:
         raise ValueError("dof must exceed 2")
-    dims = tuple(int(d) for d in dims)
-    T = int(T)
-    n = int(burn_in) + T
+    dims = _ints(dims, "dims")
+    T, burn_in = _ints((T, burn_in), "T and burn_in")
+    n = burn_in + T
     first = n + 1 - T  # the first retained slice
     # Two calls draw the same stream as one call for all n + 1 slices.
     burn = rng.standard_normal(size=(first, *dims))
@@ -209,18 +204,15 @@ def _draw(config: DgpConfig, rng: np.random.Generator):
     """
     raw, normalized = gen_loadings(config.dims, config.ranks, rng)
     cores = gen_factors(config.ranks, config.T, config.phi, rng, config.burn_in)
-    if config.zero_noise:
-        noise = np.zeros((config.T, *config.dims))
-    else:
-        noise = gen_noise(
-            config.dims,
-            config.T,
-            config.psi,
-            rng,
-            law=config.noise_law,
-            dof=config.t_dof,
-            burn_in=config.burn_in,
-        )
+    noise = gen_noise(
+        config.dims,
+        config.T,
+        config.psi,
+        rng,
+        law=config.noise_law,
+        dof=config.t_dof,
+        burn_in=config.burn_in,
+    )
     return raw, normalized, cores, noise
 
 

@@ -25,8 +25,18 @@ both: every mode product returns a C-contiguous array.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a value that is not an integer (2.7, or
+    2.0) is rejected rather than truncated."""
+    values = tuple(values)
+    if not all(isinstance(v, numbers.Integral) for v in values):
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 def _rest_axes(order: int, k: int) -> list[int]:
@@ -86,7 +96,7 @@ def unfold(x: np.ndarray, k: int) -> np.ndarray:
 
 def fold(m: np.ndarray, k: int, dims) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor with dimensions ``dims``."""
-    dims = tuple(int(d) for d in dims)
+    dims = _ints(dims, "dims")
     if any(d < 1 for d in dims):
         raise ValueError("dims must be positive")
     m = np.asarray(m, dtype=float)

@@ -153,13 +153,13 @@ def check_eig_oracle(failures):
 
 
 def check_noiseless_recovery(failures):
-    ds = gen_dataset(DgpConfig(dims=(8, 8, 8), T=30, ranks=(2, 2, 2), seed=52, zero_noise=True))
-    ie = initial_estimator(ds.observations, (2, 2, 2))
+    ds = gen_dataset(DgpConfig(dims=(8, 8, 8), T=30, ranks=(2, 2, 2), seed=52))
+    ie = initial_estimator(ds.true_common, (2, 2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        ls = fit(ds.observations, EstimationConfig(ranks=(2, 2, 2), method="ls"))
-        hub = fit(ds.observations, EstimationConfig(ranks=(2, 2, 2), method="huber"))
-        ranks = estimate_ranks(ds.observations, RankConfig(r_max=5, c=0.0))
+        ls = fit(ds.true_common, EstimationConfig(ranks=(2, 2, 2), method="ls"))
+        hub = fit(ds.true_common, EstimationConfig(ranks=(2, 2, 2), method="huber"))
+        ranks = estimate_ranks(ds.true_common, RankConfig(r_max=5, c=0.0))
     for name, mats in (("ie", ie.mats), ("ls", ls.loadings.mats), ("huber", hub.loadings.mats)):
         worst = max(
             subspace_distance(mats[k], ds.true_loadings.mats[k]) for k in range(3)

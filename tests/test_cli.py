@@ -14,9 +14,9 @@ def run(capsys, *argv):
 
 
 def write_noiseless(tmp_path, dims=(8, 8, 8), ranks=(2, 2, 2), T=30, seed=30):
-    ds = gen_dataset(DgpConfig(dims=dims, T=T, ranks=ranks, seed=seed, zero_noise=True))
+    ds = gen_dataset(DgpConfig(dims=dims, T=T, ranks=ranks, seed=seed))
     data = tmp_path / "clean.tsrb"
-    write_series(ds.observations, data, "binary")
+    write_series(ds.true_common, data, "binary")
     truth = tmp_path / "truth"
     for k, a in enumerate(ds.true_loadings.mats):
         write_matrix(a, f"{truth}_loading{k + 1}.mtx")
@@ -179,6 +179,23 @@ def test_exit_code_numerical_error_on_overflow(tmp_path, capsys):
     )
     assert code == 4
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--ranks", "2,2,2", "--out", "est"),
+    ("estimate", "--ranks", "2,2,2", "--method", "huber", "--out", "est"),
+    ("rank", "--rmax", "3"),
+    ("rank", "--rmax", "3", "--method", "huber"),
+])
+def test_exit_code_numerical_error_on_nan_series(tmp_path, capsys, monkeypatch, argv):
+    x = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2)).observations
+    x[4, 2, 1, 3] = np.nan
+    data = tmp_path / "nan.tsrb"
+    write_series(x, data, "binary")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv, "--in", str(data))
+    assert code == 4
+    assert err.startswith("error: non-finite values in input series")
 
 
 def test_exit_code_usage_error(tmp_path, capsys):

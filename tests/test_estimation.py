@@ -9,8 +9,10 @@ from rtfa import (
     EstimationConfig,
     LoadingSet,
     NumericalError,
+    RankConfig,
     common_components,
     default_tau,
+    estimate_ranks,
     extract_factors,
     fit,
     gen_dataset,
@@ -269,9 +271,9 @@ def test_huber_weights_quadratic_regime():
 
 
 def test_huber_weights_noiseless():
-    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2, zero_noise=True))
-    loadings = initial_estimator(ds.observations, (2, 2, 2))
-    w = _weights_from_scales(residual_scales(ds.observations, loadings), 1.0)
+    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2))
+    loadings = initial_estimator(ds.true_common, (2, 2, 2))
+    w = _weights_from_scales(residual_scales(ds.true_common, loadings), 1.0)
     assert np.allclose(w, 0.5, atol=1e-12)
 
 
@@ -293,10 +295,10 @@ def test_default_tau_median():
 
 
 def test_default_tau_low_rank_floor():
-    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2, zero_noise=True))
-    result = fit(ds.observations, EstimationConfig(ranks=(2, 2, 2), method="ls"))
+    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2))
+    result = fit(ds.true_common, EstimationConfig(ranks=(2, 2, 2), method="ls"))
     with pytest.warns(RuntimeWarning):
-        tau = default_tau(ds.observations, result.loadings)
+        tau = default_tau(ds.true_common, result.loadings)
     assert tau == 1e-12
 
 
@@ -310,25 +312,25 @@ def test_default_tau_deterministic():
 
 @pytest.mark.parametrize("method", ["ls", "huber"])
 def test_fit_noiseless_exact_recovery(method):
-    ds = gen_dataset(DgpConfig(dims=(8, 8, 8), T=30, ranks=(2, 2, 2), seed=3, zero_noise=True))
+    ds = gen_dataset(DgpConfig(dims=(8, 8, 8), T=30, ranks=(2, 2, 2), seed=3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # tau floor on exact data
-        result = fit(ds.observations, EstimationConfig(ranks=(2, 2, 2), method=method))
+        result = fit(ds.true_common, EstimationConfig(ranks=(2, 2, 2), method=method))
     assert result.converged
     assert result.iterations_run <= 2
     for k in range(3):
         assert subspace_distance(result.loadings.mats[k], ds.true_loadings.mats[k]) <= 1e-8
     s_hat = common_components(result.loadings, result.factors)
-    err = np.sqrt(np.sum((s_hat - ds.observations) ** 2) / np.sum(ds.observations**2))
+    err = np.sqrt(np.sum((s_hat - ds.true_common) ** 2) / np.sum(ds.true_common**2))
     assert err <= 1e-8
 
 
 def test_fit_huber_noiseless_weights_all_half():
     # every true residual scale is zero, so no slice may be down-weighted
-    ds = gen_dataset(DgpConfig(dims=(8, 8, 8), T=30, ranks=(2, 2, 2), seed=3, zero_noise=True))
+    ds = gen_dataset(DgpConfig(dims=(8, 8, 8), T=30, ranks=(2, 2, 2), seed=3))
     config = EstimationConfig(ranks=(2, 2, 2), method="huber", record_diagnostics=True)
     with pytest.warns(RuntimeWarning, match="tau floored"):
-        result = fit(ds.observations, config)
+        result = fit(ds.true_common, config)
     for w in result.diagnostics["weights"]:
         assert np.array_equal(w, np.full(30, 0.5))
 
@@ -521,8 +523,8 @@ def test_fit_overflowing_initial_covariance_is_numerical_error(method):
 def test_fit_overflowing_projected_covariance_is_numerical_error(method):
     # scaled so that the initial Grams stay finite but the projected ones,
     # up to p_{-k} = 25 times larger on exactly low-rank data, overflow
-    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2, zero_noise=True))
-    x = ds.observations
+    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=10, ranks=(2, 2, 2), seed=2))
+    x = ds.true_common
     gram_max = max(np.max(np.sum(series_unfold(x, k) ** 2, axis=(0, 2))) for k in range(3))
     x = x * math.sqrt(0.2 * np.finfo(float).max / gram_max)
     initial_estimator(x, (2, 2, 2))
@@ -568,9 +570,20 @@ def test_huber_fit_validates_series_once(monkeypatch):
     lambda x, ls: default_tau(x, ls),
     lambda x, ls: extract_factors(x, ls),
     lambda x, ls: fit(x, EstimationConfig(ranks=(2, 2), method="huber")),
+    lambda x, ls: fit(x, EstimationConfig(ranks=(2, 2))),
+    lambda x, ls: fit(x, EstimationConfig(ranks=(2, 2), method="huber", tau=1.0)),
+    lambda x, ls: estimate_ranks(x, RankConfig(r_max=2)),
+    lambda x, ls: estimate_ranks(x, RankConfig(r_max=2, method="huber")),
 ])
 def test_public_series_functions_reject_non_finite(call):
-    bad = rng.standard_normal((10, 4, 4))
-    bad[3, 1, 2] = np.inf
-    with pytest.raises(NumericalError):
-        call(bad, identity_loadings((4, 4), (2, 2)))
+    # each function checks the values where it first reads them, and raises
+    # before any arithmetic on them can warn
+    series = rng.standard_normal((10, 4, 4))
+    for value in (np.nan, np.inf, -np.inf):
+        for at in ((0, 0, 0), (3, 1, 2), (9, 0, 3), (9, 3, 3)):
+            bad = series.copy()
+            bad[at] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NumericalError, match="non-finite values in input series"):
+                    call(bad, identity_loadings((4, 4), (2, 2)))

@@ -115,9 +115,9 @@ def test_relative_mse_oracles():
 
 
 def test_rolling_validation_noiseless():
-    ds = gen_dataset(DgpConfig(dims=(6, 6, 6), T=40, ranks=(2, 2, 2), seed=9, zero_noise=True))
+    ds = gen_dataset(DgpConfig(dims=(6, 6, 6), T=40, ranks=(2, 2, 2), seed=9))
     est = EstimationConfig(ranks=(2, 2, 2))
-    out = rolling_validation(ds.observations, 2, 10, est)
+    out = rolling_validation(ds.true_common, 2, 10, est)
     assert len(out) == 2
     assert all(v <= 1e-8 for v in out)
 

@@ -47,3 +47,17 @@ def test_unused_imports_checker():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_no_public_function_takes_a_private_parameter():
+    # a caller cannot switch off a public function's checks through a
+    # parameter that only the package itself is meant to pass
+    import inspect
+
+    import rtfa
+
+    private = [f"{name}({param})" for name in rtfa.__all__
+               if inspect.isfunction(getattr(rtfa, name))
+               for param in inspect.signature(getattr(rtfa, name)).parameters
+               if param.startswith("_")]
+    assert private == []

@@ -52,6 +52,19 @@ def test_rate_constants_errors():
         rate_constants((10, 0), 5)
 
 
+@pytest.mark.parametrize("dims, T", [((2.7, 3), 10), ((3, 3), 10.0), ((3, 3), 10.5)])
+def test_rate_constants_rejects_non_integer_sizes(dims, T):
+    # int() used to truncate them into wrong penalty constants
+    with pytest.raises(ValueError, match="must be integers"):
+        rate_constants(dims, T)
+
+
+def test_rate_constants_takes_numpy_integers_and_rejects_no_dims():
+    assert rate_constants(np.array([3, 4]), np.int64(10)) == rate_constants((3, 4), 10)
+    with pytest.raises(ValueError, match="positive"):
+        rate_constants((), 10)
+
+
 def test_ratio_pick_oracles():
     assert eigenvalue_ratio_pick([10.0, 9.0, 0.1, 0.09, 0.08], 0.0, 4) == 2
     assert eigenvalue_ratio_pick([5.0, 1e-12, 1e-13, 1e-14, 1e-15], 0.01, 4) == 1
@@ -159,10 +172,10 @@ def test_rank_config_rejects_least_squares_alias():
 
 @pytest.mark.parametrize("method", ["ls", "huber"])
 def test_estimate_ranks_noiseless(method):
-    ds = gen_dataset(DgpConfig(dims=(8, 8, 8), T=30, ranks=(2, 2, 2), seed=21, zero_noise=True))
+    ds = gen_dataset(DgpConfig(dims=(8, 8, 8), T=30, ranks=(2, 2, 2), seed=21))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # tau floor on exact data
-        result = estimate_ranks(ds.observations, RankConfig(r_max=5, method=method))
+        result = estimate_ranks(ds.true_common, RankConfig(r_max=5, method=method))
     assert result.ranks == (2, 2, 2)
     assert result.converged
 
@@ -203,10 +216,10 @@ def test_estimate_ranks_penalty_insensitive(method):
 
 def test_estimate_ranks_clamps_thin_modes():
     # r_max exceeds p_k - 1 = 4, so the candidate count must be capped per mode
-    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=60, ranks=(2, 2, 2), seed=25, zero_noise=True))
+    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=60, ranks=(2, 2, 2), seed=25))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        result = estimate_ranks(ds.observations, RankConfig(r_max=8))
+        result = estimate_ranks(ds.true_common, RankConfig(r_max=8))
     assert result.ranks == (2, 2, 2)
     assert any("capped" in note or "clamped" in note for note in result.warnings)
     assert all(1 <= r <= 4 for r in result.ranks)
@@ -240,16 +253,17 @@ def test_rank_config_rejects_bad_tau(tau):
 
 
 def test_estimate_ranks_validates_series_once(monkeypatch):
-    from rtfa import estimation, ranks
-
-    calls = []
-
-    def counting(x, _check=estimation._check_series):
-        calls.append(1)
-        return _check(x)
-
-    monkeypatch.setattr(estimation, "_check_series", counting)
-    monkeypatch.setattr(ranks, "_check_series", counting)
+    # the initial estimator's covariance check is the only validation of the
+    # values: no np.isfinite call ever scans an array the size of the series
     ds = gen_dataset(DgpConfig(dims=(6, 6, 6), T=20, ranks=(2, 2, 2), seed=31))
-    estimate_ranks(ds.observations, RankConfig(r_max=3, method="huber"))
-    assert len(calls) == 1
+    scanned = []
+    isfinite = np.isfinite
+
+    def recording(a, *args, **kwargs):
+        scanned.append(np.size(a))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recording)
+    for method, tau in [("ls", "median"), ("huber", "median"), ("huber", 2.0)]:
+        estimate_ranks(ds.observations, RankConfig(r_max=3, method=method, tau=tau))
+    assert scanned and max(scanned) < ds.observations.size

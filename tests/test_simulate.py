@@ -60,6 +60,40 @@ def test_config_rejects_non_integer_sizes(field, value):
         DgpConfig(**sizes)
 
 
+def test_config_rejects_empty_dims():
+    # () used to pass and draw a (T,) "series" with no modes
+    with pytest.raises(ValueError, match="non-empty"):
+        DgpConfig(dims=(), ranks=(), T=5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: gen_loadings((5.7, 5), (2, 2), rng),
+    lambda rng: gen_loadings((5, 5), (2.0, 2), rng),
+    lambda rng: gen_factors((2.5, 2), 10, 0.1, rng),
+    lambda rng: gen_factors((2, 2), 10.5, 0.1, rng),
+    lambda rng: gen_factors((2, 2), 10, 0.1, rng, burn_in=3.5),
+    lambda rng: gen_noise((4.5, 4), 10, 0.1, rng),
+    lambda rng: gen_noise((4, 4), 10.0, 0.1, rng),
+    lambda rng: replication_rng(1, 2.7),
+])
+def test_draws_reject_non_integer_sizes(call):
+    # int() used to truncate them silently
+    with pytest.raises(ValueError, match="must be integers"):
+        call(np.random.default_rng(0))
+
+
+def test_draws_take_numpy_integer_sizes():
+    def draws(dims, ranks, T, burn_in, rep):
+        rng = replication_rng(5, rep)
+        raw, _ = gen_loadings(dims, ranks, rng)
+        cores = gen_factors(ranks, T, 0.1, rng, burn_in)
+        return (*raw, cores, gen_noise(dims, T, 0.1, rng, burn_in=burn_in))
+
+    got = draws(np.array([4, 3]), np.array([2, 1]), np.int64(6), np.int32(2), np.int64(1))
+    for a, b in zip(got, draws((4, 3), (2, 1), 6, 2, 1)):
+        assert np.array_equal(a, b)
+
+
 def test_config_accepts_numpy_integer_sizes():
     config = DgpConfig(dims=(np.int64(5), 5), T=np.int64(10), ranks=(np.int64(2), 2),
                        burn_in=np.int64(3))
@@ -162,12 +196,6 @@ def test_gen_dataset_truth_representation_consistent():
     rebuilt = common_components(ds.true_loadings, ds.true_factors)
     scale = np.max(np.abs(ds.true_common))
     assert np.max(np.abs(rebuilt - ds.true_common)) <= 1e-10 * max(1.0, scale)
-
-
-def test_gen_dataset_zero_noise():
-    ds = gen_dataset(DgpConfig(dims=(6, 6, 6), T=10, ranks=(2, 2, 2), seed=11, zero_noise=True))
-    assert np.array_equal(ds.observations, ds.true_common)
-    assert not ds.noise.any()
 
 
 def test_gen_dataset_noise_energy():
@@ -363,11 +391,8 @@ def gen_dataset_whole(config, rng):
     raw, normalized = gen_loadings(config.dims, config.ranks, rng)
     cores = gen_factors(config.ranks, config.T, config.phi, rng, config.burn_in)
     common = series_multi_mode_product(cores, raw)
-    if config.zero_noise:
-        noise = np.zeros_like(common)
-    else:
-        noise = gen_noise_whole(config.dims, config.T, config.psi, rng, law=config.noise_law,
-                                dof=config.t_dof, burn_in=config.burn_in)
+    noise = gen_noise_whole(config.dims, config.T, config.psi, rng, law=config.noise_law,
+                            dof=config.t_dof, burn_in=config.burn_in)
     transforms = [n.T @ a / n.shape[0] for n, a in zip(normalized.mats, raw)]
     return SimulatedDataset(
         observations=common + noise,
@@ -418,14 +443,6 @@ def test_gen_dataset_fields_match_whole_array(dims, T, burn_in, law):
         assert same_bits(getattr(got, name), getattr(want, name)), name
     for a, b in zip(got.true_loadings.mats, want.true_loadings.mats):
         assert same_bits(a, b)
-
-
-def test_gen_dataset_zero_noise_matches_whole_array():
-    config = DgpConfig(dims=(6, 5, 4), T=7, ranks=(2, 2, 2), seed=33, zero_noise=True)
-    got = gen_dataset(config)
-    want = gen_dataset_whole(config, replication_rng(33))
-    for name in ("observations", "true_factors", "true_common", "noise"):
-        assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
 def time_blocks_whole(n, dims):

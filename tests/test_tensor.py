@@ -69,6 +69,11 @@ def test_fold_shape_mismatch():
         fold(np.zeros((4, 5)), 1, (3, 4, 2))
 
 
+def test_fold_rejects_non_integer_dims():
+    with pytest.raises(ValueError, match="must be integers"):
+        fold(np.zeros((2, 2)), 0, (2.5, 2))  # int() used to truncate it to 2
+
+
 @pytest.mark.parametrize(
     "dims",
     [(5,), (3, 4), (3, 4, 2), (2, 3, 2, 4)],
