@@ -18,7 +18,7 @@ import numpy as np
 
 from .eig import sym_eig
 from .metrics import _basis_distance
-from .tensor import _ints, series_mode_product, series_multi_mode_product
+from .tensor import _ints, _time_blocks, series_mode_product, series_multi_mode_product
 
 _METHODS = ("ls", "huber")
 
@@ -131,9 +131,10 @@ def initial_estimator(x: np.ndarray, ranks) -> LoadingSet:
     """Per-mode loadings from the unprojected sample covariances.
 
     A_k = sqrt(p_k) x leading r_k eigenvectors of
-    sum_t unfold(X_t, k) @ unfold(X_t, k).T / (T p).  Each value enters the
-    mode-0 diagonal squared, where no BLAS skips or cancels it, so the
-    covariances' finite check rejects a non-finite series.
+    sum_t unfold(X_t, k) @ unfold(X_t, k).T / (T p), summed over time blocks
+    by :func:`_gram` without a copy of the series.  Each value enters the
+    mode-0 diagonal squared, where no BLAS skips or cancels it, so the finite
+    check on the summed covariances rejects a non-finite series.
     """
     xs = _as_series(x)
     dims = xs.shape[1:]
@@ -152,18 +153,20 @@ def initial_estimator(x: np.ndarray, ranks) -> LoadingSet:
 
 def _gram(ys: np.ndarray, k: int, weights=None) -> np.ndarray:
     """sum_t w_t unfold(Y_t, k) unfold(Y_t, k).T over a (T, q_1, ..., q_K)
-    series, as one GEMM on the sqrt(w)-scaled (q_k, T n) matrix of mode-k
-    fibres; w_t = 1 when ``weights`` is None.  A Gram does not depend on the
-    column order, so the fibres come from reshapes of C-ordered ``ys``: a view
-    when mode k is trailing, one copy of ``ys`` otherwise."""
-    q_k = ys.shape[k + 1]
-    u = ys.reshape(math.prod(ys.shape[:k + 1]), q_k, -1).swapaxes(0, 1)
-    u = u.reshape(q_k, ys.shape[0], -1)
-    if weights is not None:
-        u = u * np.sqrt(weights)[:, None]
-    u = u.reshape(q_k, -1)
+    series (w_t = 1 when ``weights`` is None), summed in block order over
+    :func:`_time_blocks`, one GEMM per block on its sqrt(w)-scaled mode-k
+    fibres.  A Gram does not depend on the column order, so the fibres come
+    from reshapes of C-ordered ``ys``: a view when mode k is trailing, a copy
+    of one block otherwise, never of the series."""
+    q_k, trail = ys.shape[k + 1], math.prod(ys.shape[k + 2:])
+    m = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        m = u @ u.T
+        for lo, hi in _time_blocks(len(ys), ys.shape[1:]):
+            y = ys[lo:hi]
+            if weights is not None:
+                y = y * np.sqrt(weights[lo:hi]).reshape(-1, *[1] * (ys.ndim - 1))
+            u = y.reshape(-1, q_k, trail).swapaxes(0, 1).reshape(q_k, -1)
+            m = m + u @ u.T
     if not np.isfinite(m).all():
         raise NumericalError("non-finite values in input series or overflow in its covariance")
     return m

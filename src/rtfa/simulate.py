@@ -25,12 +25,9 @@ from .estimation import (
 )
 from .metrics import _mse, orthonormal_basis, subspace_distance
 from .ranks import RankConfig, estimate_ranks
-from .tensor import _ints, series_multi_mode_product
+from .tensor import _ints, _time_blocks, series_multi_mode_product
 
 _NOISE_LAWS = {"tensor_normal", "tensor_t"}
-
-# The DGP's time-block size: its blocks hold about this many bytes of slices.
-_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -91,6 +88,8 @@ def gen_loadings(dims, ranks, rng: np.random.Generator):
     normalization invariant is required.
     """
     dims, ranks = _ints(dims, "dims"), _ints(ranks, "ranks")
+    if len(dims) != len(ranks):
+        raise ValueError("dims and ranks must have the same length")
     raw = tuple(rng.uniform(-1.0, 1.0, size=(d, r)) for d, r in zip(dims, ranks))
     normalized = LoadingSet(
         tuple(math.sqrt(a.shape[0]) * orthonormal_basis(a) for a in raw)
@@ -104,6 +103,8 @@ def gen_factors(ranks, T: int, phi: float, rng: np.random.Generator, burn_in: in
         raise ValueError("|phi| must be < 1")
     shape = _ints(ranks, "ranks")
     T, burn_in = _ints((T, burn_in), "T and burn_in")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     n = burn_in + T
     eps = rng.standard_normal(size=(n + 1, *shape))
     out = np.empty_like(eps)
@@ -112,17 +113,6 @@ def gen_factors(ranks, T: int, phi: float, rng: np.random.Generator, burn_in: in
     for i in range(1, n + 1):
         out[i] = phi * out[i - 1] + scale * eps[i]
     return out[n - T + 1:]
-
-
-def _time_blocks(n: int, dims, min_len: int = 1) -> list[tuple[int, int]]:
-    """[0, n) cut into near-equal (lo, hi) blocks of about ``_BLOCK_BYTES`` of
-    slices, each of ``min_len`` slices or more where n allows.  Near-equal, so
-    that no block's matrix product is small enough for the BLAS to round it
-    unlike the whole array's (a one-row product is a GEMV, for one)."""
-    step = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
-    blocks = max(1, min(-(-n // step), n // min_len))
-    edges = [n * b // blocks for b in range(blocks + 1)]
-    return list(zip(edges, edges[1:]))
 
 
 def _kron_factor_chols(dims) -> list[np.ndarray]:
@@ -162,6 +152,8 @@ def gen_noise(
         raise ValueError("dof must exceed 2")
     dims = _ints(dims, "dims")
     T, burn_in = _ints((T, burn_in), "T and burn_in")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     n = burn_in + T
     first = n + 1 - T  # the first retained slice
     # Two calls draw the same stream as one call for all n + 1 slices.

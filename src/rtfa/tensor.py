@@ -39,6 +39,21 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+# A time block of the DGP, the common part or a Gram holds about this many bytes.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _time_blocks(n: int, dims, min_len: int = 1) -> list[tuple[int, int]]:
+    """[0, n) cut into near-equal (lo, hi) blocks of about ``_BLOCK_BYTES`` of
+    slices, each of ``min_len`` slices or more where n allows.  Near-equal, so
+    that no block's matrix product is small enough for the BLAS to round it
+    unlike the whole array's (a one-row product is a GEMV, for one)."""
+    step = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
+    blocks = max(1, min(-(-n // step), n // min_len))
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _rest_axes(order: int, k: int) -> list[int]:
     """Non-k axes in decreasing order (C-order reshape then runs mode 1 fastest)."""
     return [m for m in reversed(range(order)) if m != k]

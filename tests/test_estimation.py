@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from rtfa import (
 )
 from rtfa import estimation
 from rtfa.estimation import _subspace_change, _sweep_cov, _weights_from_scales
+from rtfa.tensor import _time_blocks
 
 rng = np.random.default_rng(3)
 
@@ -155,6 +157,70 @@ def test_initial_estimator_worse_than_converged():
     d_ie = subspace_distance(ie.mats[0], ds.true_loadings.mats[0])
     d_fit = subspace_distance(result.loadings.mats[0], ds.true_loadings.mats[0])
     assert d_fit < d_ie
+
+
+# --- Gram kernel ---------------------------------------------------------------
+
+def gram_whole(ys, k, weights=None):
+    # the whole-series form: one GEMM on one copy of the sqrt(w)-scaled
+    # (q_k, T n) matrix of mode-k fibres
+    q_k = ys.shape[k + 1]
+    u = ys.reshape(math.prod(ys.shape[:k + 1]), q_k, -1).swapaxes(0, 1)
+    u = u.reshape(q_k, ys.shape[0], -1)
+    if weights is not None:
+        u = u * np.sqrt(weights)[:, None]
+    u = u.reshape(q_k, -1)
+    return u @ u.T
+
+
+@pytest.mark.parametrize("dims, T", [
+    pytest.param((20, 20, 20), 203, id="uneven-blocks"),
+    pytest.param((200, 30, 30), 3, id="slice-larger-than-block"),
+    pytest.param((6, 5, 4), 1, id="T1"),
+    pytest.param((50,), 3000, id="K1"),
+    pytest.param((8, 7, 6, 5), 70, id="K4"),
+])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_gram_matches_whole_series_oracle(dims, T, weighted):
+    gen = np.random.default_rng(40)
+    ys = gen.standard_normal((T, *dims))
+    weights = gen.uniform(0.05, 0.5, T) if weighted else None
+    assert len(_time_blocks(T, dims)) > 1 or T == 1
+    for k in range(len(dims)):  # the last mode is the trailing one
+        got = estimation._gram(ys, k, weights)
+        want = gram_whole(ys, k, weights)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: initial_estimator(x, (2, 2)),
+    lambda x: fit(x, EstimationConfig(ranks=(2, 2))),
+    lambda x: fit(x, EstimationConfig(ranks=(2, 2), method="huber")),
+], ids=["initial_estimator", "fit-ls", "fit-huber"])
+def test_gram_overflow_in_block_sum_is_numerical_error(call):
+    # one 512 KB slice per time block: each block's mode-0 diagonal is
+    # 256 c^2 = 1e308, finite, and the sum of the two blocks overflows
+    dims = (256, 256)
+    assert len(_time_blocks(2, dims)) == 2
+    c = math.sqrt(1e308 / 256)
+    x = c * np.random.default_rng(41).choice([-1.0, 1.0], size=(2, *dims))
+    assert np.isfinite(estimation._gram(x[:1], 0)).all()
+    with pytest.raises(NumericalError):
+        call(x)
+
+
+def test_initial_estimator_peak_memory():
+    # the Grams run over time blocks, so no series-sized copy is made
+    x = gen_dataset(DgpConfig(dims=(20, 20, 20), T=200, ranks=(3, 3, 3),
+                              noise_law="tensor_t", seed=42)).observations
+    tracemalloc.start()
+    try:
+        initial_estimator(x, (3, 3, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * x.nbytes
 
 
 # --- projection covariance -----------------------------------------------------

@@ -3,10 +3,12 @@
 Each cell is one `rtfa replicate` command, run as a fresh process with one
 BLAS thread.  The parent and the change run in alternating pairs (the parent
 first in even pairs, the change first in odd ones), and every pair checks that
-both sides wrote the same CSV bytes.  The result file holds the environment
-and, per cell and metric (the child's CPU time, peak resident set and minor
-page faults, from its own resource usage, and the wall time), each side's runs,
-median and quartiles, and the number of pairs the change won.
+both sides wrote the same CSV bytes.  Each cell also records how many of its
+CSV values differ between the sides and the largest relative difference, so
+a deliberate change of results shows its size.  The result file holds the
+environment and, per cell and metric (the child's CPU time, peak resident set
+and minor page faults, from its own resource usage, and the wall time), each
+side's runs, median and quartiles, and the number of pairs the change won.
 
     python tools/bench_replicate.py --parent HEAD~1 --out BENCH.json
 
@@ -19,6 +21,7 @@ there are always ten pairs.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -67,9 +70,9 @@ def _parent_tree(rev: str):
 
 def _run_cell(tree: Path, argv: list[str], out: Path) -> dict:
     """One `rtfa replicate` run: its CPU time, wall time, peak RSS, minor page
-    faults and CSV digest.
+    faults, CSV digest and CSV values (each row's trailing mean and sd).
 
-    All but the wall time and the digest come from the child's own resource usage.
+    All but the wall time and the CSV come from the child's own resource usage.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **THREADS)
     cmd = [sys.executable, "-m", "rtfa.cli", "replicate", *argv, "--out", str(out)]
@@ -85,7 +88,15 @@ def _run_cell(tree: Path, argv: list[str], out: Path) -> dict:
         "peak_rss_mb": usage.ru_maxrss / 1024.0,  # ru_maxrss is in KiB on Linux
         "minflt": usage.ru_minflt,
         "sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+        "values": [float(v) for row in list(csv.reader(out.read_text().splitlines()))[1:]
+                   for v in row[-2:]],
     }
+
+
+def _csv_diff(a: list[float], b: list[float]) -> dict:
+    """How many of two CSVs' values differ, and the largest relative difference."""
+    rel = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b, strict=True) if x != y]
+    return {"values": len(a), "differing": len(rel), "max_rel": max(rel, default=0.0)}
 
 
 def _summary(values: list[float]) -> dict:
@@ -101,6 +112,7 @@ def main(argv=None) -> int:
 
     runs = {name: {"parent": [], "change": []} for name in CELLS}
     same_csv = {name: True for name in CELLS}
+    csv_diffs = {name: [] for name in CELLS}
     with _parent_tree(args.parent) as parent, \
             tempfile.TemporaryDirectory(prefix="rtfa-bench-") as tmp:
         sides = {"parent": parent, "change": ROOT}
@@ -110,6 +122,7 @@ def main(argv=None) -> int:
                 got = {side: _run_cell(sides[side], argv_cell, Path(tmp) / f"{side}.csv")
                        for side in order}
                 same_csv[name] &= got["parent"]["sha256"] == got["change"]["sha256"]
+                csv_diffs[name].append(_csv_diff(got["parent"]["values"], got["change"]["values"]))
                 for side in order:
                     runs[name][side].append(got[side])
                 print(f"pair {i + 1}/{PAIRS} {name}: " + ", ".join(
@@ -125,7 +138,8 @@ def main(argv=None) -> int:
         "cells": {},
     }
     for name, argv_cell in CELLS.items():
-        cell = {"argv": ["rtfa", "replicate", *argv_cell], "same_csv": same_csv[name]}
+        cell = {"argv": ["rtfa", "replicate", *argv_cell], "same_csv": same_csv[name],
+                "csv_diff": max(csv_diffs[name], key=lambda d: d["max_rel"])}
         for metric in METRICS:
             parent_vals = [r[metric] for r in runs[name]["parent"]]
             change_vals = [r[metric] for r in runs[name]["change"]]
