@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import _ints
+
 # Relative asymmetry tolerated before sym_eig refuses the input.
 _SYM_TOL = 1e-8
 
@@ -58,6 +60,7 @@ def sym_eig(m: np.ndarray, count: int | None = None) -> EigPair:
     v = v[:, ::-1]
     v = _fix_signs(v)
     if count is not None:
+        (count,) = _ints((count,), "count")
         if not 1 <= count <= m.shape[0]:
             raise ValueError(f"count {count} out of range for size {m.shape[0]}")
         w = w[:count]
@@ -86,6 +89,7 @@ def varimax(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("non-finite entries in loadings")
+    (max_sweeps,) = _ints((max_sweeps,), "max_sweeps")
     p, r = a.shape
     rotation = np.eye(r)
     if r < 2:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eig import sym_eig
+from .tensor import _ints
 
 
 def orthonormal_basis(a: np.ndarray) -> np.ndarray:
@@ -82,7 +83,9 @@ def rolling_validation(x: np.ndarray, window_years: int, period_length: int, est
 
     x = np.asarray(x, dtype=float)
     t_len = x.shape[0]
-    window = int(window_years) * int(period_length)
+    window_years, period_length = _ints((window_years, period_length),
+                                        "window_years and period_length")
+    window = window_years * period_length
     if window < 1 or period_length < 1:
         raise ValueError("window and period length must be positive")
     if window + period_length > t_len:

@@ -74,6 +74,7 @@ def eigenvalue_ratio_pick(values, penalty: float, r_max: int) -> int:
     not depend on the sign or size of rounding noise: with zero penalty a
     ratio values[j] / 0 is +inf when values[j] > 0 and 0 / 0 counts as -inf.
     """
+    (r_max,) = _ints((r_max,), "r_max")
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < r_max + 1:
         raise ValueError(f"need at least {r_max + 1} eigenvalues, got {v.size}")

@@ -30,6 +30,44 @@ from .tensor import _ints, _time_blocks, series_multi_mode_product
 _NOISE_LAWS = {"tensor_normal", "tensor_t"}
 
 
+# The rules below check the design once, for DgpConfig and the draws alike.
+def _check_dims(dims, what: str = "dims") -> tuple[int, ...]:
+    dims = _ints(dims, what)
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"{what} must be non-empty and positive")
+    return dims
+
+
+def _check_ranks(dims, ranks) -> tuple[int, ...]:
+    ranks = _ints(ranks, "ranks")
+    if len(ranks) != len(dims):
+        raise ValueError("ranks and dims must have the same length")
+    if any(not 1 <= r <= d for r, d in zip(ranks, dims)):
+        raise ValueError("each rank must satisfy 1 <= r_k <= p_k")
+    return ranks
+
+
+def _check_length(T, burn_in) -> tuple[int, int]:
+    T, burn_in = _ints((T, burn_in), "T and burn_in")
+    if T < 1:
+        raise ValueError("T must be positive")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    return T, burn_in
+
+
+def _check_ar(name: str, coef: float) -> None:
+    if not abs(coef) < 1:
+        raise ValueError(f"|{name}| must be < 1")
+
+
+def _check_noise_law(law: str, dof: float) -> None:
+    if law not in _NOISE_LAWS:
+        raise ValueError(f"unknown noise law {law!r}")
+    if law == "tensor_t" and not dof > 2:
+        raise ValueError("t_dof must exceed 2 so the noise variance exists")
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """Simulation design.  Noiseless data are a dataset's ``true_common``."""
@@ -45,23 +83,12 @@ class DgpConfig:
     burn_in: int = 100
 
     def __post_init__(self):
-        _ints((self.T, self.burn_in), "T and burn_in")
-        object.__setattr__(self, "dims", _ints(self.dims, "dims"))
-        object.__setattr__(self, "ranks", _ints(self.ranks, "ranks"))
-        if len(self.ranks) != len(self.dims):
-            raise ValueError("ranks and dims must have the same length")
-        if not self.dims or any(d < 1 for d in self.dims) or self.T < 1:
-            raise ValueError("dims must be non-empty, and dims and T positive")
-        if any(not 1 <= r <= d for r, d in zip(self.ranks, self.dims)):
-            raise ValueError("each rank must satisfy 1 <= r_k <= p_k")
-        if not abs(self.phi) < 1 or not abs(self.psi) < 1:
-            raise ValueError("|phi| and |psi| must be < 1")
-        if self.noise_law not in _NOISE_LAWS:
-            raise ValueError(f"unknown noise law {self.noise_law!r}")
-        if self.noise_law == "tensor_t" and not self.t_dof > 2:
-            raise ValueError("t_dof must exceed 2 so the noise variance exists")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        _check_length(self.T, self.burn_in)
+        object.__setattr__(self, "dims", _check_dims(self.dims))
+        object.__setattr__(self, "ranks", _check_ranks(self.dims, self.ranks))
+        _check_ar("phi", self.phi)
+        _check_ar("psi", self.psi)
+        _check_noise_law(self.noise_law, self.t_dof)
 
 
 @dataclass(frozen=True)
@@ -87,9 +114,8 @@ def gen_loadings(dims, ranks, rng: np.random.Generator):
     the same column spaces and satisfies A.T A / p = I for use wherever the
     normalization invariant is required.
     """
-    dims, ranks = _ints(dims, "dims"), _ints(ranks, "ranks")
-    if len(dims) != len(ranks):
-        raise ValueError("dims and ranks must have the same length")
+    dims = _check_dims(dims)
+    ranks = _check_ranks(dims, ranks)
     raw = tuple(rng.uniform(-1.0, 1.0, size=(d, r)) for d, r in zip(dims, ranks))
     normalized = LoadingSet(
         tuple(math.sqrt(a.shape[0]) * orthonormal_basis(a) for a in raw)
@@ -99,12 +125,9 @@ def gen_loadings(dims, ranks, rng: np.random.Generator):
 
 def gen_factors(ranks, T: int, phi: float, rng: np.random.Generator, burn_in: int = 100) -> np.ndarray:
     """Stationary AR(1) factor cores with unit per-coordinate variance."""
-    if not abs(phi) < 1:
-        raise ValueError("|phi| must be < 1")
-    shape = _ints(ranks, "ranks")
-    T, burn_in = _ints((T, burn_in), "T and burn_in")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    _check_ar("phi", phi)
+    shape = _check_dims(ranks, "ranks")
+    T, burn_in = _check_length(T, burn_in)
     n = burn_in + T
     eps = rng.standard_normal(size=(n + 1, *shape))
     out = np.empty_like(eps)
@@ -144,16 +167,10 @@ def gen_noise(
     mixing draws.  The result is a compact (T, p_1, ..., p_K) array,
     bit-identical to the same steps run over the whole series at once.
     """
-    if law not in _NOISE_LAWS:
-        raise ValueError(f"unknown noise law {law!r}")
-    if not abs(psi) < 1:
-        raise ValueError("|psi| must be < 1")
-    if law == "tensor_t" and not dof > 2:
-        raise ValueError("dof must exceed 2")
-    dims = _ints(dims, "dims")
-    T, burn_in = _ints((T, burn_in), "T and burn_in")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    _check_noise_law(law, dof)
+    _check_ar("psi", psi)
+    dims = _check_dims(dims)
+    T, burn_in = _check_length(T, burn_in)
     n = burn_in + T
     first = n + 1 - T  # the first retained slice
     # Two calls draw the same stream as one call for all n + 1 slices.
@@ -251,13 +268,7 @@ def _replication_rows(task) -> list[list[Row]]:
     """One replication's rows for each config in ``ests``, from one draw."""
     dgp, ests, rep = task
     raw, truth, cores, x = _draw(dgp, replication_rng(dgp.seed, rep))
-    # Time blocks of two slices or more keep the whole-array bits up to a
-    # width of 192 and a rank of 31; past those, OpenBLAS 0.3.31 (AVX-512)
-    # rounds a product of few rows unlike one of many: one block then.
-    ranks = [r for c in (dgp, *ests) if not isinstance(c, RankConfig) for r in c.ranks]
-    blocks = [(0, dgp.T)]
-    if max(dgp.dims) <= 192 and max(ranks) < 32:
-        blocks = _time_blocks(dgp.T, dgp.dims, min_len=2)
+    blocks = _time_blocks(dgp.T, dgp.dims)
     # The observations, formed over the noise: IEEE addition commutes, so the
     # bits are those of common + noise.
     for lo, hi in blocks:

@@ -18,8 +18,9 @@ every projection step in this package relies on.
 
 There is one contraction path.  The per-slice :func:`unfold`,
 :func:`mode_product` and :func:`multi_mode_product` are T=1 views of the
-series kernels, so the layout contract of :func:`series_mode_product` covers
-both: every mode product returns a C-contiguous array.
+series kernels, so the contracts of :func:`series_mode_product` cover both:
+every mode product returns a C-contiguous array, and each slice is contracted
+on its own, so its bits do not depend on the other slices in the call.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ def _ints(values, what: str) -> tuple[int, ...]:
 _BLOCK_BYTES = 512 * 1024
 
 
-def _time_blocks(n: int, dims, min_len: int = 1) -> list[tuple[int, int]]:
+def _time_blocks(n: int, dims) -> list[tuple[int, int]]:
     """[0, n) cut into near-equal (lo, hi) blocks of about ``_BLOCK_BYTES`` of
-    slices, each of ``min_len`` slices or more where n allows.  Near-equal, so
-    that no block's matrix product is small enough for the BLAS to round it
-    unlike the whole array's (a one-row product is a GEMV, for one)."""
+    slices.  A mode product's bits do not depend on the blocks; a Gram summed
+    over them does, so this tiling fixes the order of its summation."""
     step = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
-    blocks = max(1, min(-(-n // step), n // min_len))
+    blocks = max(1, -(-n // step))
     edges = [n * b // blocks for b in range(blocks + 1)]
     return list(zip(edges, edges[1:]))
 
@@ -73,10 +73,13 @@ def series_mode_product(xs: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
     """Mode-k product applied to every slice of the series.
 
     Layout contract: the result is C-contiguous whatever the layout of ``xs``.
-    A C-contiguous ``xs`` is contracted in place through reshapes (one GEMM
-    for the trailing mode, a batched matmul otherwise) and is never copied,
-    so a chain of products copies nothing; any other layout is copied to C
-    order once first.
+    A C-contiguous ``xs`` is contracted in place through reshapes by one
+    batched matmul and is never copied, so a chain of products copies
+    nothing; any other layout is copied to C order once first.
+
+    Slice contract: each slice is contracted by its own matrix products, so
+    the result for a slice is bit-identical to the product of that slice
+    alone, or of any block of slices that holds it, on any BLAS.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -85,12 +88,12 @@ def series_mode_product(xs: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
         raise ValueError(f"mode {k} out of range for order-{order} series")
     if a.ndim != 2 or a.shape[1] != xs.shape[k + 1]:
         raise ValueError(f"a must be a matrix with {xs.shape[k + 1]} columns, got {a.shape}")
-    lead = math.prod(xs.shape[:k + 1])
+    rows = math.prod(xs.shape[1:k + 1])
     trail = math.prod(xs.shape[k + 2:])
     if trail == 1:
-        out = xs.reshape(lead, a.shape[1]) @ a.T
+        out = np.matmul(xs.reshape(len(xs), rows, a.shape[1]), a.T)
     else:
-        out = np.matmul(a, xs.reshape(lead, a.shape[1], trail))
+        out = np.matmul(a, xs.reshape(len(xs) * rows, a.shape[1], trail))
     return out.reshape(*xs.shape[:k + 1], a.shape[0], *xs.shape[k + 2:])
 
 

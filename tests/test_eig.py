@@ -242,3 +242,20 @@ def test_varimax_rejects_non_finite():
     a[0, 0] = np.inf
     with pytest.raises(ValueError):
         varimax(a)
+
+
+def test_sym_eig_and_varimax_reject_non_integer_sizes():
+    # these used to raise a TypeError from slicing and from range()
+    m = np.diag([3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="must be integers"):
+        sym_eig(m, count=1.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        varimax(np.eye(3)[:, :2], max_sweeps=2.5)
+
+
+def test_sym_eig_and_varimax_take_numpy_integer_sizes():
+    m = np.diag([3.0, 2.0, 1.0])
+    assert np.array_equal(sym_eig(m, count=np.int64(2)).vectors, sym_eig(m, count=2).vectors)
+    a = np.random.default_rng(3).standard_normal((6, 3))
+    for got, want in zip(varimax(a, max_sweeps=np.int32(2)), varimax(a, max_sweeps=2)):
+        assert np.array_equal(got, want)

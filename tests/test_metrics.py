@@ -355,3 +355,18 @@ def test_complete_linkage_matches_scipy_cophenet_n200():
     mine = cophenetic_matrix(complete_linkage(d), 200)
     z = linkage(squareform(d, checks=False), method="complete")
     assert np.max(np.abs(mine - squareform(cophenet(z)))) <= 1e-10
+
+
+@pytest.mark.parametrize("window_years, period_length", [(2.5, 4), (2, 4.0), (math.nan, 4)])
+def test_rolling_validation_rejects_non_integer_sizes(window_years, period_length):
+    # 2.5 years used to become a 2-year window silently, and 4.0 a TypeError
+    x = rng.standard_normal((30, 4, 4))
+    with pytest.raises(ValueError, match="must be integers"):
+        rolling_validation(x, window_years, period_length, EstimationConfig(ranks=(2, 2)))
+
+
+def test_rolling_validation_takes_numpy_integer_sizes():
+    ds = gen_dataset(DgpConfig(dims=(5, 5, 5), T=30, ranks=(2, 2, 2), seed=4))
+    est = EstimationConfig(ranks=(2, 2, 2))
+    got = rolling_validation(ds.observations, np.int64(2), np.int32(10), est)
+    assert got == rolling_validation(ds.observations, 2, 10, est)

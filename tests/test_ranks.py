@@ -267,3 +267,14 @@ def test_estimate_ranks_validates_series_once(monkeypatch):
     for method, tau in [("ls", "median"), ("huber", "median"), ("huber", 2.0)]:
         estimate_ranks(ds.observations, RankConfig(r_max=3, method=method, tau=tau))
     assert scanned and max(scanned) < ds.observations.size
+
+
+@pytest.mark.parametrize("r_max", [1.5, 4.0, math.nan])
+def test_eigenvalue_ratio_pick_rejects_non_integer_r_max(r_max):
+    # these used to raise a TypeError from slicing
+    with pytest.raises(ValueError, match="must be integers"):
+        eigenvalue_ratio_pick([10.0, 9.0, 0.1, 0.09, 0.08], 0.0, r_max)
+
+
+def test_eigenvalue_ratio_pick_takes_numpy_integer_r_max():
+    assert eigenvalue_ratio_pick([10.0, 9.0, 0.1, 0.09, 0.08], 0.0, np.int64(4)) == 2

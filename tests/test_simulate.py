@@ -101,6 +101,44 @@ def test_draws_reject_negative_burn_in(call):
         call(np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda rng: gen_factors((2, 2), 0, 0.1, rng), "T must be positive",
+                 id="factors-T0"),
+    pytest.param(lambda rng: gen_factors((2, 2), -5, 0.1, rng), "T must be positive",
+                 id="factors-T-negative"),
+    pytest.param(lambda rng: gen_noise((3, 3), 0, 0.1, rng), "T must be positive", id="noise-T0"),
+    pytest.param(lambda rng: gen_noise((), 5, 0.1, rng), "must be non-empty and positive",
+                 id="noise-no-modes"),
+    pytest.param(lambda rng: gen_factors((), 5, 0.1, rng), "must be non-empty and positive",
+                 id="factors-no-modes"),
+    pytest.param(lambda rng: gen_noise((0, 3), 5, 0.1, rng), "must be non-empty and positive",
+                 id="noise-zero-dim"),
+    pytest.param(lambda rng: gen_loadings((3, 3), (0, 2), rng), "each rank must satisfy",
+                 id="loadings-rank-0"),
+    pytest.param(lambda rng: gen_loadings((3, 3), (4, 2), rng), "each rank must satisfy",
+                 id="loadings-rank-over-dim"),
+    pytest.param(lambda rng: gen_noise((3, 3), 5, 0.1, rng, law="tensor_t", dof=2.0),
+                 "t_dof must exceed 2", id="noise-dof-2"),
+])
+def test_draws_reject_what_dgp_config_rejects(call, message):
+    # these used to return empty or 1-D arrays, or to fail deep inside the
+    # draw with a ZeroDivisionError or a "rank-deficient input" error
+    with pytest.raises(ValueError, match=message):
+        call(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("design, message", [
+    (dict(dims=(2, 2), T=0), "T must be positive"),
+    (dict(dims=(0, 3), ranks=(1, 1)), "must be non-empty and positive"),
+    (dict(ranks=(0, 2)), "each rank must satisfy"),
+    (dict(ranks=(4, 2)), "each rank must satisfy"),
+    (dict(noise_law="tensor_t", t_dof=2.0), "t_dof must exceed 2"),
+])
+def test_config_rejects_with_the_draws_messages(design, message):
+    with pytest.raises(ValueError, match=message):
+        DgpConfig(**{"dims": (3, 3), "T": 5, "ranks": (2, 2), **design})
+
+
 def test_draws_take_numpy_integer_sizes():
     def draws(dims, ranks, T, burn_in, rep):
         rng = replication_rng(5, rep)
@@ -261,10 +299,13 @@ def test_monte_carlo_single_rep_matches_direct_run(method, law):
 @pytest.mark.parametrize("dims, T, ranks", [
     pytest.param((20, 20, 20), 203, (3, 3, 3), id="uneven-blocks"),
     pytest.param((70, 40, 30), 5, (3, 1, 1), id="slices-over-a-block"),
-    # past the widths and ranks where time blocks keep the bits, one block
+    pytest.param((30, 30, 30), 21, (3, 3, 3), id="one-slice-blocks"),
+    # wide modes, large ranks and odd block lengths take time blocks too,
+    # since each slice is contracted on its own
     pytest.param((4, 300), 100, (2, 2), id="wide-mode"),
     pytest.param((2, 204), 1000, (2, 2), id="wide-last-mode"),
     pytest.param((40, 100), 800, (32, 1), id="rank-32"),
+    pytest.param((9, 9), 2001, (8, 8), id="rank-8-odd-blocks"),
 ])
 def test_monte_carlo_blocked_rep_matches_direct_run(dims, T, ranks, method):
     dgp = DgpConfig(dims=dims, T=T, ranks=ranks, noise_law="tensor_t", seed=14)
@@ -428,7 +469,8 @@ def same_bits(a, b):
 
 # A (50,) slice is 400 bytes; with burn_in=100 this T makes burn_in + T + 1
 # one slice more than a whole number of blocks, so cutting blocks of the full
-# size would leave a one-slice block, whose mode product BLAS computes by GEMV.
+# size would leave a one-slice block.  Its mode product is a one-row GEMV, as
+# every slice's is in the whole array, since each slice is contracted alone.
 _ONE_OVER = _BLOCK_BYTES // 400 - 100
 
 BLOCKED_CASES = [
@@ -477,20 +519,13 @@ def time_blocks_whole(n, dims):
     (_ONE_OVER + 101, (50,)), (3000, (50,)), (70, (8, 7, 6, 5)), (301, (30, 30, 30)),
     (3, (70, 40, 30)), (6, (70, 40, 30)), (7, (70, 40, 30)), (5, (200, 30, 30)),
 ])
-@pytest.mark.parametrize("min_len", [1, 2])
-def test_time_blocks_tile_in_near_equal_blocks(n, dims, min_len):
-    blocks = _time_blocks(n, dims, min_len)
+def test_time_blocks_tile_in_near_equal_blocks(n, dims):
+    blocks = _time_blocks(n, dims)
     assert blocks[0][0] == 0 and blocks[-1][1] == n
     assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
     sizes = [hi - lo for lo, hi in blocks]
     assert max(sizes) - min(sizes) <= 1
-    # gen_noise's tiling is the plain one; with min_len 2 no block's matmul
-    # is a one-row GEMV, and the tiling is otherwise the plain one
-    whole = time_blocks_whole(n, dims)
-    if min_len == 1 or n == 1 or min(hi - lo for lo, hi in whole) >= 2:
-        assert blocks == whole
-    else:
-        assert min(sizes) >= 2 and len(blocks) == n // 2
+    assert blocks == time_blocks_whole(n, dims)
 
 
 @pytest.mark.parametrize("dims, T, ranks", [
@@ -501,14 +536,16 @@ def test_time_blocks_tile_in_near_equal_blocks(n, dims, min_len):
     pytest.param((6, 5, 4), 1, (2, 2, 2), id="T1"),
     pytest.param((50,), 3000, (3,), id="K1"),
     pytest.param((8, 7, 6, 5), 70, (2, 3, 1, 2), id="K4"),
-    # the widest mode and the largest rank that still take time blocks
     pytest.param((192, 3), 400, (31, 1), id="width-192-rank-31"),
+    pytest.param((4, 300), 100, (2, 2), id="wide-mode"),
+    pytest.param((2, 204), 1000, (2, 2), id="wide-last-mode"),
+    pytest.param((40, 100), 400, (32, 1), id="rank-32"),
 ])
 def test_blocked_common_part_matches_whole_array(dims, T, ranks):
     rng = replication_rng(36)
     raw, _ = gen_loadings(dims, ranks, rng)
     cores = gen_factors(ranks, T, 0.1, rng)
-    blocks = _time_blocks(T, dims, min_len=2)
+    blocks = _time_blocks(T, dims)
     got = np.concatenate([series_multi_mode_product(cores[lo:hi], raw) for lo, hi in blocks])
     assert same_bits(got, series_multi_mode_product(cores, raw))
     assert len(blocks) > 1 or T == 1
@@ -536,6 +573,26 @@ def test_replication_peak_memory(est):
     finally:
         tracemalloc.stop()
     assert peak < 1.7 * observation_bytes
+
+
+@pytest.mark.parametrize("method", ["ls", "huber"])
+@pytest.mark.parametrize("dims, T, ranks", [
+    pytest.param((4, 300), 2000, (2, 2), id="wide-mode"),
+    pytest.param((40, 100), 800, (32, 1), id="rank-32"),
+])
+def test_wide_replication_peak_memory(dims, T, ranks, method):
+    # a wide mode or a large rank forms the common part and the MSE error in
+    # time blocks as well, so the replication holds one series here too
+    dgp = DgpConfig(dims=dims, T=T, ranks=ranks, noise_law="tensor_t", seed=37)
+    observation_bytes = 8 * dgp.T * math.prod(dgp.dims)
+    replication_rng(dgp.seed)  # outside the trace: the first one imports numpy.random
+    tracemalloc.start()
+    try:
+        run_monte_carlo(dgp, EstimationConfig(ranks=ranks, method=method), reps=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.95 * observation_bytes
 
 
 def test_gen_noise_peak_memory():

@@ -308,3 +308,53 @@ def test_per_slice_functions_are_series_kernels_at_t1(dims):
     assert np.array_equal(y, series_multi_mode_product(x[None], mats)[0])
     assert np.array_equal(multi_mode_product(y, mats, transpose=True),
                           series_multi_mode_product(y[None], mats, transpose=True)[0])
+
+
+def uneven_blocks(n):
+    # blocks of 1, 2, 3, ... slices, the last one whatever is left
+    edges, size = [0], 1
+    while edges[-1] < n:
+        edges.append(min(n, edges[-1] + size))
+        size += 1
+    return list(zip(edges, edges[1:]))
+
+
+def odd_blocks(n):
+    # blocks of 3, 5, 7, ... slices, the last one whatever is left
+    edges, size = [0], 3
+    while edges[-1] < n:
+        edges.append(min(n, edges[-1] + size))
+        size += 2
+    return list(zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("dims, d, T, cut", [
+    pytest.param((4, 300), 2, 40, uneven_blocks, id="wide-mode"),
+    pytest.param((2, 204), 2, 40, uneven_blocks, id="wide-last-mode"),
+    pytest.param((193, 3), 5, 30, uneven_blocks, id="width-193-rank-5"),
+    pytest.param((40, 100), 32, 30, uneven_blocks, id="rank-32"),
+    pytest.param((50,), 3, 1311, uneven_blocks, id="K1"),
+    pytest.param((9, 9), 8, 61, odd_blocks, id="rank-8-odd-blocks"),
+])
+def test_series_products_contract_each_slice_on_its_own(dims, d, T, cut):
+    # a slice's bits do not depend on the other slices in the call: the
+    # products of the series equal, bit for bit, the same products over its
+    # slices one at a time and over uneven blocks, for every mode, and both
+    # contracting p_k terms to d and d terms to p_k
+    gen = np.random.default_rng(40)
+    xs = gen.standard_normal((T, *dims))
+    ys = gen.standard_normal((T, *[d] * len(dims)))
+    down = [gen.standard_normal((d, p_k)) for p_k in dims]
+    up = [gen.standard_normal((p_k, d)) for p_k in dims]
+    products = [lambda s, k=k: series_mode_product(s, k, down[k]) for k in range(len(dims))]
+    products += [lambda s, k=k: series_mode_product(s, k, up[k]) for k in range(len(dims))]
+    products.append(lambda s: series_multi_mode_product(s, down))
+    products.append(lambda s: series_multi_mode_product(s, up))
+    products.append(lambda s: series_multi_mode_product(s, up, transpose=True))
+    inputs = [xs] * len(dims) + [ys] * len(dims) + [xs, ys, xs]
+    singles = [(t, t + 1) for t in range(T)]
+    for product, series in zip(products, inputs):
+        whole = product(series)
+        for blocks in (singles, cut(T)):
+            got = np.concatenate([product(series[lo:hi]) for lo, hi in blocks])
+            assert got.tobytes() == whole.tobytes()
