@@ -52,8 +52,6 @@ from .simulate import (
 )
 from .tensor import (
     fold,
-    kron,
-    kron_excluding,
     mode_product,
     multi_mode_product,
     series_mode_product,
@@ -91,8 +89,6 @@ __all__ = [
     "gen_loadings",
     "gen_noise",
     "initial_estimator",
-    "kron",
-    "kron_excluding",
     "loading_distance_matrix",
     "mode_product",
     "mse_common",

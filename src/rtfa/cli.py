@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
-4 numerical failure.  The environment variable ``RTFA_WORKERS`` overrides the
-``--workers`` flag where one exists.
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import os
 import sys
 from pathlib import Path
 
@@ -63,16 +61,6 @@ def _parse_tau(text: str):
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tau must be 'median' or a number, got {text!r}")
-
-
-def _resolve_workers(flag_value: int) -> int:
-    env = os.environ.get("RTFA_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"RTFA_WORKERS must be an integer, got {env!r}")
-    return max(1, flag_value)
 
 
 def _loading_paths(prefix: str):
@@ -209,7 +197,6 @@ _TABLES = {
 
 
 def _cmd_replicate(args) -> int:
-    workers = _resolve_workers(args.workers)
     dims = _SETTINGS[args.setting]
     ranks = (3, 3, 3)
     laws, kind, prefix = _TABLES[args.table]
@@ -223,7 +210,7 @@ def _cmd_replicate(args) -> int:
             dims=dims, T=t_len, ranks=ranks, phi=0.1, psi=0.1,
             noise_law=law, t_dof=3.0, seed=args.seed,
         )
-        results = run_monte_carlo(dgp, ests, reps=args.reps, workers=workers)
+        results = run_monte_carlo(dgp, ests, reps=args.reps, workers=args.workers)
         noise_label = "normal" if law == "tensor_normal" else "t3"
         for method, result in zip(_METHODS, results):
             for name, mean, sd in result.aggregate:

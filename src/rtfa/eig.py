@@ -60,8 +60,8 @@ def sym_eig(m: np.ndarray, count: int | None = None) -> EigPair:
     v = v[:, ::-1]
     v = _fix_signs(v)
     if count is not None:
-        (count,) = _ints((count,), "count")
-        if not 1 <= count <= m.shape[0]:
+        (count,) = _ints((count,), "count", 1)
+        if count > m.shape[0]:
             raise ValueError(f"count {count} out of range for size {m.shape[0]}")
         w = w[:count]
         v = v[:, :count]

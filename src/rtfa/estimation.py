@@ -10,7 +10,6 @@ residual scale exceeds a threshold tau before averaging the covariance.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +17,13 @@ import numpy as np
 
 from .eig import sym_eig
 from .metrics import _basis_distance
-from .tensor import _ints, _time_blocks, series_mode_product, series_multi_mode_product
+from .tensor import (
+    _check_ranks,
+    _ints,
+    _time_blocks,
+    series_mode_product,
+    series_multi_mode_product,
+)
 
 _METHODS = ("ls", "huber")
 
@@ -60,8 +65,7 @@ class _SweepSettings:
     def _check_sweep_settings(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError("max_iter must be an integer >= 1")
+        object.__setattr__(self, "max_iter", *_ints((self.max_iter,), "max_iter", 1))
         if isinstance(self.tau, str):
             if self.tau != "median":
                 raise ValueError(f"tau must be 'median' or a positive number, got {self.tau!r}")
@@ -138,12 +142,7 @@ def initial_estimator(x: np.ndarray, ranks) -> LoadingSet:
     """
     xs = _as_series(x)
     dims = xs.shape[1:]
-    ranks = _ints(ranks, "ranks")
-    if len(ranks) != len(dims):
-        raise ValueError(f"got {len(ranks)} ranks for an order-{len(dims)} series")
-    for k, (r, p_k) in enumerate(zip(ranks, dims)):
-        if not 1 <= r <= p_k:
-            raise ValueError(f"rank {r} invalid for mode {k} of size {p_k}")
+    ranks = _check_ranks(dims, ranks)
     mats = []
     for k, r in enumerate(ranks):
         pair = sym_eig(_gram(xs, k) / xs.size, count=r)
@@ -286,9 +285,9 @@ def _sweeps(xs: np.ndarray, ranks, config, keep):
     projected covariance.
 
     Yields (loadings before the sweep, loadings after it, tau or None, each
-    mode's full :func:`sym_eig` pair, each mode's weights or None) once per
-    sweep, at most ``config.max_iter`` times; the caller stops early by
-    leaving the loop.
+    mode's full :func:`sym_eig` pair, each mode's weights or None, each
+    mode's ``keep`` count before slicing clamps it at p_k) once per sweep, at
+    most ``config.max_iter`` times; the caller stops early by leaving the loop.
     """
     dims = xs.shape[1:]
     ie = initial_estimator(xs, ranks)
@@ -299,13 +298,14 @@ def _sweeps(xs: np.ndarray, ranks, config, keep):
         flat = xs.reshape(len(xs), -1)
         huber = (tau, np.einsum("ti,ti->t", flat, flat))
     for _ in range(config.max_iter):
-        prev, pairs, weights = list(mats), [], []
+        prev, pairs, weights, counts = list(mats), [], [], []
         for k in range(len(dims)):
             m, w = _sweep_cov(xs, mats, k, huber)
             pairs.append(sym_eig(m))
             weights.append(w)
-            mats[k] = math.sqrt(dims[k]) * pairs[k].vectors[:, :keep(k, pairs[k].values)]
-        yield prev, mats, tau, pairs, weights
+            counts.append(keep(k, pairs[k].values))
+            mats[k] = math.sqrt(dims[k]) * pairs[k].vectors[:, :counts[k]]
+        yield prev, mats, tau, pairs, weights, counts
 
 
 def _subspace_change(a: np.ndarray, b: np.ndarray) -> float:
@@ -332,8 +332,8 @@ def fit(x: np.ndarray, config: EstimationConfig) -> EstimationResult:
     xs = _as_series(x)
     rank_warnings: list[str] = []
     changes: list[float] = []
-    for prev, mats, tau, pairs, weights in _sweeps(xs, config.ranks, config,
-                                                   lambda k, values: config.ranks[k]):
+    for prev, mats, tau, pairs, weights, _ in _sweeps(xs, config.ranks, config,
+                                                      lambda k, values: config.ranks[k]):
         for k, (pair, r) in enumerate(zip(pairs, config.ranks)):
             msg = f"rank-deficient projected covariance at mode {k}"
             deficient = pair.values[r - 1] <= 1e-14 * max(pair.values[0], 1e-300)

@@ -84,10 +84,8 @@ def rolling_validation(x: np.ndarray, window_years: int, period_length: int, est
     x = np.asarray(x, dtype=float)
     t_len = x.shape[0]
     window_years, period_length = _ints((window_years, period_length),
-                                        "window_years and period_length")
+                                        "window_years and period_length", 1)
     window = window_years * period_length
-    if window < 1 or period_length < 1:
-        raise ValueError("window and period length must be positive")
     if window + period_length > t_len:
         raise ValueError(f"window of {window} slices plus one block exceeds T={t_len}")
     out = []

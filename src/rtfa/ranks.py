@@ -4,13 +4,12 @@ projection path (least-squares or robustly weighted)."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimation import _ZERO_ULPS, _as_series, _sweeps, _SweepSettings
-from .tensor import _ints
+from .tensor import _check_dims, _ints
 
 _REGIMES = {"ge2", "lt2"}
 
@@ -32,8 +31,7 @@ class RankConfig(_SweepSettings):
     tau: float | str = "median"
 
     def __post_init__(self):
-        if not isinstance(self.r_max, numbers.Integral) or self.r_max < 1:
-            raise ValueError("r_max must be an integer >= 1")
+        object.__setattr__(self, "r_max", *_ints((self.r_max,), "r_max", 1))
         if not self.c >= 0:
             raise ValueError("c must be >= 0")
         if self.epsilon_regime not in _REGIMES:
@@ -53,9 +51,8 @@ class RateConstants:
 
 def rate_constants(dims, T: int) -> RateConstants:
     """Exact integer minima for the given dimensions and series length."""
-    *dims, T = _ints((*dims, T), "dims and T")
-    if T < 1 or not dims or any(d < 1 for d in dims):
-        raise ValueError("dims and T must be positive")
+    dims = _check_dims(dims)
+    (T,) = _ints((T,), "T", 1)
     p = math.prod(dims)
     p_rest = [p // d for d in dims]
     L = min(p, *(T * q for q in p_rest))
@@ -74,12 +71,10 @@ def eigenvalue_ratio_pick(values, penalty: float, r_max: int) -> int:
     not depend on the sign or size of rounding noise: with zero penalty a
     ratio values[j] / 0 is +inf when values[j] > 0 and 0 / 0 counts as -inf.
     """
-    (r_max,) = _ints((r_max,), "r_max")
+    (r_max,) = _ints((r_max,), "r_max", 1)
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < r_max + 1:
         raise ValueError(f"need at least {r_max + 1} eigenvalues, got {v.size}")
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
     if not penalty >= 0:
         raise ValueError("penalty must be >= 0")
     scale = max(v[0], 1.0)
@@ -140,17 +135,17 @@ def estimate_ranks(x: np.ndarray, config: RankConfig) -> RankResult:
     else:
         penalties = [config.c / math.sqrt(w) for w in rc.omega]
 
-    def pick(k, values):
-        return eigenvalue_ratio_pick(values, penalties[k], r_cap[k])
+    def keep(k, values):
+        return eigenvalue_ratio_pick(values, penalties[k], r_cap[k]) + 2
 
     history: list[tuple[int, ...]] = [(config.r_max,) * len(dims)]
     converged = False
-    for *_, pairs, _ in _sweeps(xs, tuple(min(config.r_max, d) for d in dims), config,
-                                lambda k, values: pick(k, values) + 2):
-        history.append(tuple(pick(k, pair.values) for k, pair in enumerate(pairs)))
-        for k, r in enumerate(history[-1]):
+    start = tuple(min(config.r_max, d) for d in dims)
+    for *_, pairs, _, counts in _sweeps(xs, start, config, keep):
+        history.append(tuple(count - 2 for count in counts))
+        for k, count in enumerate(counts):
             note = f"mode {k}: eigenvector inflation clamped at p_k={dims[k]}"
-            if r + 2 > dims[k] and note not in notes:
+            if count > dims[k] and note not in notes:
                 notes.append(note)
         if history[-1] == history[-2]:
             converged = True

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
@@ -25,35 +24,16 @@ from .estimation import (
 )
 from .metrics import _mse, orthonormal_basis, subspace_distance
 from .ranks import RankConfig, estimate_ranks
-from .tensor import _ints, _time_blocks, series_multi_mode_product
+from .tensor import (
+    _check_dims,
+    _check_length,
+    _check_ranks,
+    _ints,
+    _time_blocks,
+    series_multi_mode_product,
+)
 
 _NOISE_LAWS = {"tensor_normal", "tensor_t"}
-
-
-# The rules below check the design once, for DgpConfig and the draws alike.
-def _check_dims(dims, what: str = "dims") -> tuple[int, ...]:
-    dims = _ints(dims, what)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"{what} must be non-empty and positive")
-    return dims
-
-
-def _check_ranks(dims, ranks) -> tuple[int, ...]:
-    ranks = _ints(ranks, "ranks")
-    if len(ranks) != len(dims):
-        raise ValueError("ranks and dims must have the same length")
-    if any(not 1 <= r <= d for r, d in zip(ranks, dims)):
-        raise ValueError("each rank must satisfy 1 <= r_k <= p_k")
-    return ranks
-
-
-def _check_length(T, burn_in) -> tuple[int, int]:
-    T, burn_in = _ints((T, burn_in), "T and burn_in")
-    if T < 1:
-        raise ValueError("T must be positive")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    return T, burn_in
 
 
 def _check_ar(name: str, coef: float) -> None:
@@ -83,9 +63,12 @@ class DgpConfig:
     burn_in: int = 100
 
     def __post_init__(self):
-        _check_length(self.T, self.burn_in)
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        object.__setattr__(self, "ranks", _check_ranks(self.dims, self.ranks))
+        T, burn_in = _check_length(self.T, self.burn_in)
+        dims = _check_dims(self.dims)
+        (seed,) = _ints((self.seed,), "seed", 0)
+        for name, value in (("T", T), ("burn_in", burn_in), ("dims", dims), ("seed", seed),
+                            ("ranks", _check_ranks(dims, self.ranks))):
+            object.__setattr__(self, name, value)
         _check_ar("phi", self.phi)
         _check_ar("psi", self.psi)
         _check_noise_law(self.noise_law, self.t_dof)
@@ -101,10 +84,13 @@ class SimulatedDataset:
 
 
 def replication_rng(seed: int, rep: int | None = None) -> np.random.Generator:
-    """Deterministic stream derivation: rep i uses SeedSequence(seed, spawn_key=(i,))."""
+    """Deterministic stream derivation: rep i uses SeedSequence(seed, spawn_key=(i,)).
+
+    ``seed`` and ``rep`` must be integers >= 0."""
+    (seed,) = _ints((seed,), "seed", 0)
     if rep is None:
         return np.random.default_rng(np.random.SeedSequence(seed))
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_ints((rep,), "rep")))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_ints((rep,), "rep", 0)))
 
 
 def gen_loadings(dims, ranks, rng: np.random.Generator):
@@ -327,10 +313,8 @@ def run_monte_carlo(
 
     ``reps`` and ``workers`` must be integers; ``workers <= 1`` runs serially.
     """
-    if not isinstance(reps, numbers.Integral) or reps < 1:
-        raise ValueError("reps must be an integer >= 1")
-    if not isinstance(workers, numbers.Integral):
-        raise ValueError("workers must be an integer")
+    (reps,) = _ints((reps,), "reps", 1)
+    (workers,) = _ints((workers,), "workers")
     single = isinstance(est, (EstimationConfig, RankConfig))
     ests = (est,) if single else tuple(est)
     if not ests:

@@ -1,4 +1,5 @@
-"""Dense tensor primitives: unfolding, folding, mode products, Kronecker helpers.
+"""Dense tensor primitives (unfolding, folding, mode products) and the one
+rule for integer sizes, counts and seeds.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -31,13 +32,42 @@ import numbers
 import numpy as np
 
 
-def _ints(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; a value that is not an integer (2.7, or
-    2.0) is rejected rather than truncated."""
+def _ints(values, what: str, low: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each >= ``low`` when it is given.  This
+    is the package's one integer rule: a value that is not an integer (2.7,
+    2.0, or a bool) is rejected rather than converted."""
     values = tuple(values)
-    if not all(isinstance(v, numbers.Integral) for v in values):
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
         raise ValueError(f"{what} must be integers, got {values!r}")
+    if low is not None and any(v < low for v in values):
+        raise ValueError(f"{what} must be >= {low}, got {values!r}")
     return tuple(int(v) for v in values)
+
+
+# The design rules below check sizes once for every entry point that takes them.
+def _check_dims(dims, what: str = "dims") -> tuple[int, ...]:
+    dims = _ints(dims, what)
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"{what} must be non-empty and positive")
+    return dims
+
+
+def _check_ranks(dims, ranks) -> tuple[int, ...]:
+    ranks = _ints(ranks, "ranks")
+    if len(ranks) != len(dims):
+        raise ValueError("ranks and dims must have the same length")
+    if any(not 1 <= r <= d for r, d in zip(ranks, dims)):
+        raise ValueError("each rank must satisfy 1 <= r_k <= p_k")
+    return ranks
+
+
+def _check_length(T, burn_in) -> tuple[int, int]:
+    T, burn_in = _ints((T, burn_in), "T and burn_in")
+    if T < 1:
+        raise ValueError("T must be positive")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    return T, burn_in
 
 
 # A time block of the DGP, the common part or a Gram holds about this many bytes.
@@ -114,9 +144,7 @@ def unfold(x: np.ndarray, k: int) -> np.ndarray:
 
 def fold(m: np.ndarray, k: int, dims) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor with dimensions ``dims``."""
-    dims = _ints(dims, "dims")
-    if any(d < 1 for d in dims):
-        raise ValueError("dims must be positive")
+    dims = _check_dims(dims)
     m = np.asarray(m, dtype=float)
     if not 0 <= k < len(dims):
         raise ValueError(f"mode {k} out of range for dims {dims}")
@@ -136,17 +164,3 @@ def mode_product(x: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
 def multi_mode_product(x: np.ndarray, mats, transpose: bool = False) -> np.ndarray:
     """Apply one matrix per mode: X x_1 A_1 ... x_K A_K (or the transposes)."""
     return series_multi_mode_product(np.asarray(x)[None], mats, transpose)[0]
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (standard block layout)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def kron_excluding(mats, k: int) -> np.ndarray:
-    """kron(A_K, ..., A_{k+1}, A_{k-1}, ..., A_1): the mode-k projection factor."""
-    out = np.ones((1, 1))
-    for j in reversed(range(len(mats))):
-        if j != k:
-            out = np.kron(out, np.asarray(mats[j], dtype=float))
-    return out

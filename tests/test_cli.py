@@ -260,18 +260,17 @@ def test_replicate_table1_small(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("table", ["1", "2", "3", "4"])
-def test_replicate_workers_env_override(tmp_path, capsys, monkeypatch, table):
+def test_replicate_two_workers_match_serial(tmp_path, capsys, table):
     serial = tmp_path / "serial.csv"
     code, _, _ = run(
         capsys, "replicate", "--table", table, "--setting", "A",
         "--reps", "2", "--seed", "6", "--out", str(serial), "--workers", "1",
     )
     assert code == 0
-    monkeypatch.setenv("RTFA_WORKERS", "2")
     parallel = tmp_path / "parallel.csv"
     code, _, _ = run(
         capsys, "replicate", "--table", table, "--setting", "A",
-        "--reps", "2", "--seed", "6", "--out", str(parallel), "--workers", "1",
+        "--reps", "2", "--seed", "6", "--out", str(parallel), "--workers", "2",
     )
     assert code == 0
     assert serial.read_bytes() == parallel.read_bytes()

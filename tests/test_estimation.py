@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import kron_excluding
 
 from rtfa import (
     DgpConfig,
@@ -18,7 +19,6 @@ from rtfa import (
     fit,
     gen_dataset,
     initial_estimator,
-    kron_excluding,
     multi_mode_product,
     replication_rng,
     residual_scales,
@@ -89,7 +89,7 @@ def test_config_rejects_nan_tol():
 @pytest.mark.parametrize("max_iter", [2.5, math.nan])
 def test_config_rejects_non_integer_max_iter(max_iter):
     # both pass a bare "< 1" check and would fail later inside range()
-    with pytest.raises(ValueError, match="max_iter must be an integer"):
+    with pytest.raises(ValueError, match="max_iter must be integers"):
         EstimationConfig(ranks=(2, 2), max_iter=max_iter)
 
 

@@ -49,6 +49,18 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def test_only_tensor_imports_numbers():
+    # tensor._ints is the one integer rule; a second isinstance(v, numbers.Integral)
+    # test elsewhere would fork it
+    importers = sorted(
+        path.name for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numbers")
+    )
+    assert importers == ["tensor.py"]
+
+
 def test_no_public_function_takes_a_private_parameter():
     # a caller cannot switch off a public function's checks through a
     # parameter that only the package itself is meant to pass

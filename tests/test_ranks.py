@@ -156,7 +156,7 @@ def test_rank_config_rejects_nan_c():
 @pytest.mark.parametrize("field", ["r_max", "max_iter"])
 @pytest.mark.parametrize("value", [2.5, math.nan])
 def test_rank_config_rejects_non_integer_counts(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    with pytest.raises(ValueError, match=f"{field} must be integers"):
         RankConfig(**{field: value})
 
 

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from conftest import kron_excluding
 
 from rtfa import (
+    DgpConfig,
+    EstimationConfig,
+    RankConfig,
+    eigenvalue_ratio_pick,
     fold,
-    kron,
-    kron_excluding,
     mode_product,
     multi_mode_product,
+    rate_constants,
+    replication_rng,
+    run_monte_carlo,
     series_mode_product,
     series_multi_mode_product,
     series_unfold,
+    sym_eig,
     unfold,
 )
 
@@ -72,6 +79,65 @@ def test_fold_shape_mismatch():
 def test_fold_rejects_non_integer_dims():
     with pytest.raises(ValueError, match="must be integers"):
         fold(np.zeros((2, 2)), 0, (2.5, 2))  # int() used to truncate it to 2
+
+
+def _dgp(**change):
+    return DgpConfig(**{"dims": (5, 5), "T": 10, "ranks": (2, 2), **change})
+
+
+_SPECTRUM = [10.0, 9.0, 0.1, 0.09, 0.08]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _dgp(T=True), "T and burn_in must be integers", id="dgp-T"),
+    pytest.param(lambda: _dgp(dims=(True, 5), ranks=(1, 2)), "dims must be integers",
+                 id="dgp-dims"),
+    pytest.param(lambda: _dgp(ranks=(True, 2)), "ranks must be integers", id="dgp-ranks"),
+    pytest.param(lambda: EstimationConfig(ranks=(True, 2)), "ranks must be integers",
+                 id="estimation-ranks"),
+    pytest.param(lambda: EstimationConfig(ranks=(2, 2), max_iter=True),
+                 "max_iter must be integers", id="estimation-max_iter"),
+    pytest.param(lambda: RankConfig(r_max=True), "r_max must be integers", id="rank-r_max"),
+    pytest.param(lambda: RankConfig(max_iter=True), "max_iter must be integers",
+                 id="rank-max_iter"),
+    pytest.param(lambda: run_monte_carlo(_dgp(), EstimationConfig(ranks=(2, 2)), reps=True),
+                 "reps must be integers", id="mc-reps"),
+    pytest.param(lambda: run_monte_carlo(_dgp(), EstimationConfig(ranks=(2, 2)), reps=1,
+                                         workers=False), "workers must be integers",
+                 id="mc-workers"),
+    pytest.param(lambda: eigenvalue_ratio_pick(_SPECTRUM, 0.0, True), "r_max must be integers",
+                 id="ratio-pick-r_max"),
+    pytest.param(lambda: sym_eig(np.eye(3), count=True), "count must be integers",
+                 id="sym_eig-count"),
+    pytest.param(lambda: rate_constants((3, 3), True), "T must be integers",
+                 id="rate-constants-T"),
+    pytest.param(lambda: rate_constants((3, True), 10), "dims must be integers",
+                 id="rate-constants-dims"),
+    pytest.param(lambda: fold(np.zeros((1, 2)), 0, (True, 2)), "dims must be integers",
+                 id="fold-dims"),
+    pytest.param(lambda: replication_rng(True), "seed must be integers", id="rng-seed"),
+    pytest.param(lambda: replication_rng(1, True), "rep must be integers", id="rng-rep"),
+    # a seed is checked where it is given, not first by SeedSequence at the draw
+    pytest.param(lambda: _dgp(seed=True), "seed must be integers", id="dgp-seed-bool"),
+    pytest.param(lambda: _dgp(seed=2.5), "seed must be integers", id="dgp-seed-float"),
+    pytest.param(lambda: _dgp(seed="3"), "seed must be integers", id="dgp-seed-str"),
+    pytest.param(lambda: _dgp(seed=-1), "seed must be >= 0", id="dgp-seed-negative"),
+    pytest.param(lambda: replication_rng(2.5), "seed must be integers", id="rng-seed-float"),
+    pytest.param(lambda: replication_rng(-1, 0), "seed must be >= 0", id="rng-seed-negative"),
+])
+def test_integer_rule_refuses_bools_and_bad_seeds(call, message):
+    # bool is a numbers.Integral, so the rule must refuse True rather than read it as 1
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_configs_store_plain_ints():
+    dgp = _dgp(T=np.int64(7), burn_in=np.int32(3), seed=np.uint8(4))
+    est = EstimationConfig(ranks=(2, 2), max_iter=np.int64(5))
+    rank = RankConfig(r_max=np.int16(4), max_iter=np.int64(3))
+    values = (dgp.T, dgp.burn_in, dgp.seed, est.max_iter, rank.r_max, rank.max_iter)
+    assert values == (7, 3, 4, 5, 4, 3)
+    assert all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize(
@@ -162,23 +228,6 @@ def test_multi_mode_product_transpose():
 def test_multi_mode_product_count_mismatch():
     with pytest.raises(ValueError):
         multi_mode_product(rng.standard_normal((3, 4)), [np.eye(3)])
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kron_hand_case():
-    out = kron(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    assert np.array_equal(out, np.array([[3.0, 6.0], [4.0, 8.0]]))
-
-
-def test_kron_norm_multiplicative():
-    a = rng.standard_normal((3, 2))
-    b = rng.standard_normal((2, 4))
-    assert np.linalg.norm(kron(a, b)) == pytest.approx(
-        np.linalg.norm(a) * np.linalg.norm(b), rel=1e-12
-    )
 
 
 def test_kron_excluding_matches_manual_chain():
