@@ -31,7 +31,7 @@ from .metrics import (
     relative_mse,
     subspace_distance,
 )
-from .ranks import RankConfig, estimate_ranks
+from .ranks import _REGIMES, RankConfig, estimate_ranks
 from .simulate import DgpConfig, gen_dataset, replication_rng, run_monte_carlo
 
 _SETTINGS = {
@@ -41,6 +41,7 @@ _SETTINGS = {
     "D": (30, 30, 30),
 }
 _T_GRID = (20, 50, 100, 200)
+_NOISE = {"normal": "tensor_normal", "t3": "tensor_t"}  # --noise label -> noise law
 _SERIES_EXTS = (".tsrb", ".tsr")
 
 
@@ -49,8 +50,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         vals = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
     return vals
 
 
@@ -94,14 +93,13 @@ def _write_truth(prefix: str, dataset, encoding: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    noise_law = "tensor_normal" if args.noise == "normal" else "tensor_t"
     config = DgpConfig(
         dims=args.dims,
         T=args.T,
         ranks=args.ranks,
         phi=args.phi,
         psi=args.psi,
-        noise_law=noise_law,
+        noise_law=_NOISE[args.noise],
         t_dof=3.0,
         seed=args.seed,
         burn_in=args.burn_in,
@@ -161,6 +159,8 @@ def _cmd_rank(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.metric in ("distance", "mse") and not args.truth:
         raise ValueError(f"--metric {args.metric} requires --truth")
+    if args.metric == "relmse" and not args.infile:
+        raise ValueError("--metric relmse requires --in (the observation series)")
     est_mats = [read_matrix(p) for p in _loading_paths(args.est)]
     writer = csv.writer(sys.stdout)
     writer.writerow(["metric", "mode", "value"])
@@ -178,45 +178,42 @@ def _cmd_evaluate(args) -> int:
         truth_common = read_series(_find_series(args.truth, "common"))
         writer.writerow(["mse", "", f"{mse_common(s_hat, truth_common):.17g}"])
     else:  # relmse
-        if not args.infile:
-            raise ValueError("--metric relmse requires --in (the observation series)")
         x = read_series(args.infile)
         writer.writerow(["relmse", "", f"{relative_mse(x, s_hat):.17g}"])
     return 0
 
 
-# Per table: the noise laws of its rows (each row runs an ls and a huber cell
+# Per table: the noise labels of its rows (each row runs an ls and a huber cell
 # on the same draws), whether the cells estimate or rank, and the metric-name
 # prefix of the rows it reports.
 _TABLES = {
-    1: (("tensor_normal",), "estimate", "distance"),
-    2: (("tensor_t",), "estimate", "distance"),
-    3: (("tensor_normal",), "estimate", "mse"),
-    4: (("tensor_normal", "tensor_t"), "rank", "exact"),
+    1: (("normal",), "estimate", "distance"),
+    2: (("t3",), "estimate", "distance"),
+    3: (("normal",), "estimate", "mse"),
+    4: (("normal", "t3"), "rank", "exact"),
 }
 
 
 def _cmd_replicate(args) -> int:
     dims = _SETTINGS[args.setting]
     ranks = (3, 3, 3)
-    laws, kind, prefix = _TABLES[args.table]
+    labels, kind, prefix = _TABLES[args.table]
     if kind == "estimate":
         ests = [EstimationConfig(ranks=ranks, method=method) for method in _METHODS]
     else:
         ests = [RankConfig(r_max=8, c=0.0, method=method) for method in _METHODS]
     out_rows = []
-    for t_len, law in itertools.product(_T_GRID, laws):
+    for t_len, label in itertools.product(_T_GRID, labels):
         dgp = DgpConfig(
             dims=dims, T=t_len, ranks=ranks, phi=0.1, psi=0.1,
-            noise_law=law, t_dof=3.0, seed=args.seed,
+            noise_law=_NOISE[label], t_dof=3.0, seed=args.seed,
         )
         results = run_monte_carlo(dgp, ests, reps=args.reps, workers=args.workers)
-        noise_label = "normal" if law == "tensor_normal" else "t3"
         for method, result in zip(_METHODS, results):
             for name, mean, sd in result.aggregate:
                 if name.startswith(prefix):
                     out_rows.append(
-                        [args.table, args.setting, noise_label, t_len, method,
+                        [args.table, args.setting, label, t_len, method,
                          name, f"{mean:.17g}", f"{sd:.17g}"]
                     )
     with open(args.out, "w", newline="") as fh:
@@ -273,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=_parse_int_list, default=(3, 3, 3))
     p.add_argument("--phi", type=float, default=0.1)
     p.add_argument("--psi", type=float, default=0.1)
-    p.add_argument("--noise", choices=("normal", "t3"), default="normal")
+    p.add_argument("--noise", choices=tuple(_NOISE), default="normal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=100)
     p.add_argument("--out", required=True)
@@ -284,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="fit loadings and factors")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--ranks", type=_parse_int_list, required=True)
-    p.add_argument("--method", choices=("ls", "huber"), default="ls")
+    p.add_argument("--method", choices=_METHODS, default="ls")
     p.add_argument("--tau", type=_parse_tau, default="median")
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -294,9 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="select the number of factors per mode")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--rmax", type=int, default=8)
-    p.add_argument("--method", choices=("ls", "huber"), default="ls")
+    p.add_argument("--method", choices=_METHODS, default="ls")
     p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--regime", choices=("ge2", "lt2"), default="ge2")
+    p.add_argument("--regime", choices=_REGIMES, default="ge2")
     p.add_argument("--tau", type=_parse_tau, default="median")
     p.add_argument("--traces-out", default=None)
     p.set_defaults(func=_cmd_rank)

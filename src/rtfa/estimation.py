@@ -18,8 +18,10 @@ import numpy as np
 from .eig import sym_eig
 from .metrics import _basis_distance
 from .tensor import (
+    _check_dims,
     _check_ranks,
     _ints,
+    _real,
     _time_blocks,
     series_mode_product,
     series_multi_mode_product,
@@ -66,11 +68,10 @@ class _SweepSettings:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         object.__setattr__(self, "max_iter", *_ints((self.max_iter,), "max_iter", 1))
-        if isinstance(self.tau, str):
-            if self.tau != "median":
+        if self.tau != "median":
+            if isinstance(self.tau, str):
                 raise ValueError(f"tau must be 'median' or a positive number, got {self.tau!r}")
-        elif not self.tau > 0:
-            raise ValueError("fixed tau must be > 0")
+            object.__setattr__(self, "tau", _real(self.tau, "fixed tau", 0, strict=True))
 
     @property
     def robust(self) -> bool:
@@ -94,10 +95,9 @@ class EstimationConfig(_SweepSettings):
     record_diagnostics: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", _ints(self.ranks, "ranks"))
+        object.__setattr__(self, "ranks", _check_dims(self.ranks, "ranks"))
         self._check_sweep_settings()
-        if not self.tol >= 0:
-            raise ValueError("tol must be >= 0")
+        object.__setattr__(self, "tol", _real(self.tol, "tol", 0))
 
 
 @dataclass
@@ -294,7 +294,7 @@ def _sweeps(xs: np.ndarray, ranks, config, keep):
     mats = list(ie.mats)
     tau = huber = None
     if config.robust:
-        tau = default_tau(xs, ie) if config.tau == "median" else float(config.tau)
+        tau = default_tau(xs, ie) if config.tau == "median" else config.tau
         flat = xs.reshape(len(xs), -1)
         huber = (tau, np.einsum("ti,ti->t", flat, flat))
     for _ in range(config.max_iter):

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import _ZERO_ULPS, _as_series, _sweeps, _SweepSettings
-from .tensor import _check_dims, _ints
+from .tensor import _check_dims, _ints, _real
 
-_REGIMES = {"ge2", "lt2"}
+_REGIMES = ("ge2", "lt2")
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ class RankConfig(_SweepSettings):
 
     def __post_init__(self):
         object.__setattr__(self, "r_max", *_ints((self.r_max,), "r_max", 1))
-        if not self.c >= 0:
-            raise ValueError("c must be >= 0")
+        object.__setattr__(self, "c", _real(self.c, "c", 0))
         if self.epsilon_regime not in _REGIMES:
             raise ValueError(f"unknown epsilon_regime {self.epsilon_regime!r}")
         self._check_sweep_settings()
@@ -75,8 +74,7 @@ def eigenvalue_ratio_pick(values, penalty: float, r_max: int) -> int:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < r_max + 1:
         raise ValueError(f"need at least {r_max + 1} eigenvalues, got {v.size}")
-    if not penalty >= 0:
-        raise ValueError("penalty must be >= 0")
+    penalty = _real(penalty, "penalty", 0)
     scale = max(v[0], 1.0)
     if (v < -1e-12 * scale).any() or (np.diff(v) > 1e-12 * scale).any():
         raise ValueError("values must be non-increasing and nonnegative")

@@ -29,6 +29,7 @@ from .tensor import (
     _check_length,
     _check_ranks,
     _ints,
+    _real,
     _time_blocks,
     series_multi_mode_product,
 )
@@ -36,16 +37,10 @@ from .tensor import (
 _NOISE_LAWS = {"tensor_normal", "tensor_t"}
 
 
-def _check_ar(name: str, coef: float) -> None:
-    if not abs(coef) < 1:
-        raise ValueError(f"|{name}| must be < 1")
-
-
-def _check_noise_law(law: str, dof: float) -> None:
+def _check_noise_law(law: str, dof: float) -> float:
     if law not in _NOISE_LAWS:
         raise ValueError(f"unknown noise law {law!r}")
-    if law == "tensor_t" and not dof > 2:
-        raise ValueError("t_dof must exceed 2 so the noise variance exists")
+    return _real(dof, "t_dof", 2, strict=True)  # so that the t noise variance exists
 
 
 @dataclass(frozen=True)
@@ -67,11 +62,11 @@ class DgpConfig:
         dims = _check_dims(self.dims)
         (seed,) = _ints((self.seed,), "seed", 0)
         for name, value in (("T", T), ("burn_in", burn_in), ("dims", dims), ("seed", seed),
-                            ("ranks", _check_ranks(dims, self.ranks))):
+                            ("ranks", _check_ranks(dims, self.ranks)),
+                            ("phi", _real(self.phi, "phi", -1, 1, strict=True)),
+                            ("psi", _real(self.psi, "psi", -1, 1, strict=True)),
+                            ("t_dof", _check_noise_law(self.noise_law, self.t_dof))):
             object.__setattr__(self, name, value)
-        _check_ar("phi", self.phi)
-        _check_ar("psi", self.psi)
-        _check_noise_law(self.noise_law, self.t_dof)
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,7 @@ def gen_loadings(dims, ranks, rng: np.random.Generator):
 
 def gen_factors(ranks, T: int, phi: float, rng: np.random.Generator, burn_in: int = 100) -> np.ndarray:
     """Stationary AR(1) factor cores with unit per-coordinate variance."""
-    _check_ar("phi", phi)
+    phi = _real(phi, "phi", -1, 1, strict=True)
     shape = _check_dims(ranks, "ranks")
     T, burn_in = _check_length(T, burn_in)
     n = burn_in + T
@@ -153,8 +148,8 @@ def gen_noise(
     mixing draws.  The result is a compact (T, p_1, ..., p_K) array,
     bit-identical to the same steps run over the whole series at once.
     """
-    _check_noise_law(law, dof)
-    _check_ar("psi", psi)
+    dof = _check_noise_law(law, dof)
+    psi = _real(psi, "psi", -1, 1, strict=True)
     dims = _check_dims(dims)
     T, burn_in = _check_length(T, burn_in)
     n = burn_in + T
@@ -199,15 +194,8 @@ def _draw(config: DgpConfig, rng: np.random.Generator):
     """
     raw, normalized = gen_loadings(config.dims, config.ranks, rng)
     cores = gen_factors(config.ranks, config.T, config.phi, rng, config.burn_in)
-    noise = gen_noise(
-        config.dims,
-        config.T,
-        config.psi,
-        rng,
-        law=config.noise_law,
-        dof=config.t_dof,
-        burn_in=config.burn_in,
-    )
+    noise = gen_noise(config.dims, config.T, config.psi, rng, law=config.noise_law,
+                      dof=config.t_dof, burn_in=config.burn_in)
     return raw, normalized, cores, noise
 
 

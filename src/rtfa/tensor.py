@@ -1,5 +1,5 @@
 """Dense tensor primitives (unfolding, folding, mode products) and the one
-rule for integer sizes, counts and seeds.
+rule each for integer sizes, counts and seeds and for real-valued settings.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -42,6 +42,19 @@ def _ints(values, what: str, low: int | None = None) -> tuple[int, ...]:
     if low is not None and any(v < low for v in values):
         raise ValueError(f"{what} must be >= {low}, got {values!r}")
     return tuple(int(v) for v in values)
+
+
+def _real(value, what: str, low: float, high: float = math.inf, strict: bool = False) -> float:
+    """``value`` as a float in [low, high), or in (low, high) when ``strict``.
+    This is the package's one rule for real-valued settings: a bool, a value
+    that is not a real number, or a non-finite one is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    if not (low < value if strict else low <= value) or not value < high:
+        above = f"exceed {low:g}" if strict else f"be >= {low:g}"
+        below = f" and be < {high:g}" if high < math.inf else ""
+        raise ValueError(f"{what} must {above}{below}, got {value!r}")
+    return float(value)
 
 
 # The design rules below check sizes once for every entry point that takes them.

@@ -82,8 +82,10 @@ def test_criterion_3_setting_a_reconstruction_mse(setting_a_huber_run):
 def test_criterion_2_heavy_tail_robustness_ordering():
     dgp = DgpConfig(T=200, noise_law="tensor_t", t_dof=3.0, seed=2027, **SETTING_C)
     start = time.perf_counter()
-    ls = run_monte_carlo(dgp, EstimationConfig(ranks=(3, 3, 3), method="ls"), reps=100)
-    hub = run_monte_carlo(dgp, EstimationConfig(ranks=(3, 3, 3), method="huber"), reps=100)
+    # one draw per replication serves both methods; each result equals its config run alone
+    ls, hub = run_monte_carlo(
+        dgp, [EstimationConfig(ranks=(3, 3, 3), method=m) for m in ("ls", "huber")], reps=100
+    )
     elapsed = time.perf_counter() - start
     ls_mean = aggregate_value(ls, "distance_mode1")
     hub_mean = aggregate_value(hub, "distance_mode1")
@@ -101,10 +103,12 @@ def test_criterion_2_heavy_tail_robustness_ordering():
 
 def test_criterion_4_rank_recovery_rates():
     rates = {}
+    methods = ("ls", "huber")
     for law, seed in (("tensor_normal", 2028), ("tensor_t", 2029)):
         dgp = DgpConfig(T=200, noise_law=law, t_dof=3.0, seed=seed, **SETTING_C)
-        for method in ("ls", "huber"):
-            mc = run_monte_carlo(dgp, RankConfig(r_max=8, c=0.0, method=method), reps=100)
+        mcs = run_monte_carlo(dgp, [RankConfig(r_max=8, c=0.0, method=m) for m in methods],
+                              reps=100)
+        for method, mc in zip(methods, mcs):
             rates[(law, method)] = aggregate_value(mc, "exact")
     gauss_ok = rates[("tensor_normal", "ls")] >= 0.95 and rates[("tensor_normal", "huber")] >= 0.95
     t3_ok = rates[("tensor_t", "huber")] >= rates[("tensor_t", "ls")]
@@ -247,10 +251,12 @@ def test_criterion_5_property_battery(tmp_path):
 
 def test_criterion_6_consistency_trend():
     means = {}
-    for method in ("ls", "huber"):
-        for t_len in (20, 200):
-            dgp = DgpConfig(T=t_len, noise_law="tensor_normal", seed=2030, **SETTING_A)
-            mc = run_monte_carlo(dgp, EstimationConfig(ranks=(3, 3, 3), method=method), reps=50)
+    methods = ("ls", "huber")
+    for t_len in (20, 200):
+        dgp = DgpConfig(T=t_len, noise_law="tensor_normal", seed=2030, **SETTING_A)
+        mcs = run_monte_carlo(dgp, [EstimationConfig(ranks=(3, 3, 3), method=m) for m in methods],
+                              reps=50)
+        for method, mc in zip(methods, mcs):
             means[(method, t_len)] = aggregate_value(mc, "distance_mode1")
     ls_ok = means[("ls", 200)] < means[("ls", 20)]
     hub_ok = means[("huber", 200)] < means[("huber", 20)]

@@ -120,6 +120,14 @@ def test_evaluate_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_evaluate_relmse_without_in_exits_2_before_reading(tmp_path, capsys):
+    # the missing --in is a usage error even where the estimate files are missing too
+    code, out, err = run(capsys, "evaluate", "--est", str(tmp_path / "nope"), "--metric", "relmse")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --metric relmse requires --in")
+
+
 def test_rank_command(tmp_path, capsys):
     data = tmp_path / "data.tsrb"
     run(
@@ -231,6 +239,9 @@ def test_exit_code_usage_error_on_bad_setting(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("estimate", "--ranks", "2,2,2", "--tol", "nan", "--out"),
     ("rank", "--c", "nan", "--traces-out"),
+    ("rank", "--c", "inf", "--traces-out"),
+    ("estimate", "--ranks", "0,2", "--out"),
+    ("estimate", "--ranks", "2,2,2", "--method", "huber", "--tau", "inf", "--out"),
 ])
 def test_bad_setting_exits_2_before_reading_the_series(tmp_path, capsys, argv):
     # the config is built first, so the missing file (exit 3) is never opened

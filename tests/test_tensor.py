@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import kron_excluding
@@ -8,6 +10,8 @@ from rtfa import (
     RankConfig,
     eigenvalue_ratio_pick,
     fold,
+    gen_factors,
+    gen_noise,
     mode_product,
     multi_mode_product,
     rate_constants,
@@ -138,6 +142,49 @@ def test_configs_store_plain_ints():
     values = (dgp.T, dgp.burn_in, dgp.seed, est.max_iter, rank.r_max, rank.max_iter)
     assert values == (7, 3, 4, 5, 4, 3)
     assert all(type(v) is int for v in values)
+
+
+# Each real-valued setting, as a call that sets it to v, and the name its error gives.
+_REAL_SETTINGS = [
+    pytest.param(lambda v: EstimationConfig(ranks=(2, 2), method="huber", tau=v), "tau",
+                 id="estimation-tau"),
+    pytest.param(lambda v: EstimationConfig(ranks=(2, 2), tol=v), "tol", id="estimation-tol"),
+    pytest.param(lambda v: RankConfig(method="huber", tau=v), "tau", id="rank-tau"),
+    pytest.param(lambda v: RankConfig(c=v), "c must be", id="rank-c"),
+    pytest.param(lambda v: eigenvalue_ratio_pick(_SPECTRUM, v, 2), "penalty",
+                 id="ratio-pick-penalty"),
+    pytest.param(lambda v: _dgp(phi=v), "phi", id="dgp-phi"),
+    pytest.param(lambda v: _dgp(psi=v), "psi", id="dgp-psi"),
+    pytest.param(lambda v: _dgp(noise_law="tensor_t", t_dof=v), "t_dof", id="dgp-t_dof"),
+    pytest.param(lambda v: gen_factors((2, 2), 5, v, replication_rng(0)), "phi",
+                 id="factors-phi"),
+    pytest.param(lambda v: gen_noise((3, 3), 5, v, replication_rng(0)), "psi", id="noise-psi"),
+    pytest.param(lambda v: gen_noise((3, 3), 5, 0.1, replication_rng(0), law="tensor_t", dof=v),
+                 "t_dof", id="noise-dof"),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, math.inf, -math.inf, "0.5"])
+@pytest.mark.parametrize("call, name", _REAL_SETTINGS)
+def test_real_rule_refuses_bools_infinities_and_strings(call, name, value):
+    # a bool used to pass as 0 or 1, and t_dof=inf drew an all-NaN series
+    with pytest.raises(ValueError, match=name):
+        call(value)
+
+
+@pytest.mark.parametrize("ranks", [(0, 2), ()])
+def test_estimation_config_refuses_empty_or_zero_ranks(ranks):
+    with pytest.raises(ValueError, match="ranks must be non-empty and positive"):
+        EstimationConfig(ranks=ranks)
+
+
+def test_configs_store_plain_floats():
+    dgp = _dgp(phi=np.float64(0.1), psi=np.float32(0.25), t_dof=np.int64(5))
+    est = EstimationConfig(ranks=(2, 2), method="huber", tau=np.float64(1.5), tol=0)
+    rank = RankConfig(c=0, tau=2)
+    values = (dgp.phi, dgp.psi, dgp.t_dof, est.tau, est.tol, rank.c, rank.tau)
+    assert values == (0.1, 0.25, 5.0, 1.5, 0.0, 0.0, 2.0)
+    assert all(type(v) is float for v in values)
 
 
 @pytest.mark.parametrize(
