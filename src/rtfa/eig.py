@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _ints
+from .tensor import _ints, _real
 
 # Relative asymmetry tolerated before sym_eig refuses the input.
 _SYM_TOL = 1e-8
@@ -80,6 +80,7 @@ def varimax(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     Cyclic pairwise rotations on the raw loadings (no row normalization);
     the criterion is non-decreasing across sweeps and iteration stops when a
     full sweep improves it by less than ``tol`` (or ``max_sweeps`` is hit).
+    ``tol`` must be a finite number >= 0 and ``max_sweeps`` an integer >= 0.
 
     Returns
     -------
@@ -89,7 +90,8 @@ def varimax(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("non-finite entries in loadings")
-    (max_sweeps,) = _ints((max_sweeps,), "max_sweeps")
+    tol = _real(tol, "tol", 0)
+    (max_sweeps,) = _ints((max_sweeps,), "max_sweeps", 0)
     p, r = a.shape
     rotation = np.eye(r)
     if r < 2:

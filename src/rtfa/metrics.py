@@ -49,11 +49,7 @@ def mse_common(est: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
-    return _mse(est - truth)
-
-
-def _mse(err: np.ndarray) -> float:
-    """Mean of squares of an error array, squared in place."""
+    err = est - truth
     return float(np.mean(np.square(err, out=err)))
 
 

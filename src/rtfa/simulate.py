@@ -16,13 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .estimation import (
-    EstimationConfig,
-    LoadingSet,
-    common_components,
-    fit,
-)
-from .metrics import _mse, orthonormal_basis, subspace_distance
+from .estimation import EstimationConfig, LoadingSet, fit
+from .metrics import orthonormal_basis, subspace_distance
 from .ranks import RankConfig, estimate_ranks
 from .tensor import (
     _check_dims,
@@ -238,33 +233,34 @@ class MonteCarloResult:
     aggregate: list[tuple[str, float, float]]
 
 
+def _span_mse(loadings: LoadingSet, factors: np.ndarray, raw, cores: np.ndarray) -> float:
+    """mse_common of F x_k A_k against C x_k R_k, scored in the span Q_k of each
+    [A_k, R_k]: both series lie there, and Q_k's orthonormal columns keep the norm."""
+    qs = [np.linalg.qr(np.hstack((a, r)))[0] for a, r in zip(loadings.mats, raw)]
+    err = series_multi_mode_product(factors, [q.T @ a for q, a in zip(qs, loadings.mats)])
+    err -= series_multi_mode_product(cores, [q.T @ r for q, r in zip(qs, raw)])
+    return float(np.sum(np.square(err)) / (len(cores) * math.prod(len(q) for q in qs)))
+
+
 def _replication_rows(task) -> list[list[Row]]:
     """One replication's rows for each config in ``ests``, from one draw."""
     dgp, ests, rep = task
     raw, truth, cores, x = _draw(dgp, replication_rng(dgp.seed, rep))
-    blocks = _time_blocks(dgp.T, dgp.dims)
     # The observations, formed over the noise: IEEE addition commutes, so the
     # bits are those of common + noise.
-    for lo, hi in blocks:
+    for lo, hi in _time_blocks(dgp.T, dgp.dims):
         x[lo:hi] += series_multi_mode_product(cores[lo:hi], raw)
-    results = [estimate_ranks(x, est) if isinstance(est, RankConfig) else fit(x, est)
-               for est in ests]
-    # Every estimator has returned: the observation buffer is spent, and takes
-    # each fit's error against the common part in turn.
-    err = x
-    del x
     per_est: list[list[Row]] = []
-    for est, result in zip(ests, results):
+    for est in ests:
         if isinstance(est, RankConfig):
-            rows = [(rep, k + 1, "rank", float(r)) for k, r in enumerate(result.ranks)]
-            rows.append((rep, None, "exact", 1.0 if result.ranks == dgp.ranks else 0.0))
+            ranks = estimate_ranks(x, est).ranks
+            rows = [(rep, k + 1, "rank", float(r)) for k, r in enumerate(ranks)]
+            rows.append((rep, None, "exact", 1.0 if ranks == dgp.ranks else 0.0))
         else:
+            result = fit(x, est)
             rows = [(rep, k + 1, "distance", subspace_distance(a_hat, a))
                     for k, (a_hat, a) in enumerate(zip(result.loadings.mats, truth.mats))]
-            for lo, hi in blocks:
-                err[lo:hi] = common_components(result.loadings, result.factors[lo:hi])
-                err[lo:hi] -= series_multi_mode_product(cores[lo:hi], raw)
-            rows.append((rep, None, "mse", _mse(err)))
+            rows.append((rep, None, "mse", _span_mse(result.loadings, result.factors, raw, cores)))
         per_est.append(rows)
     return per_est
 

@@ -48,7 +48,12 @@ def _real(value, what: str, low: float, high: float = math.inf, strict: bool = F
     """``value`` as a float in [low, high), or in (low, high) when ``strict``.
     This is the package's one rule for real-valued settings: a bool, a value
     that is not a real number, or a non-finite one is rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     if not (low < value if strict else low <= value) or not value < high:
         above = f"exceed {low:g}" if strict else f"be >= {low:g}"

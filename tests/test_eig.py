@@ -251,6 +251,8 @@ def test_sym_eig_and_varimax_reject_non_integer_sizes():
         sym_eig(m, count=1.5)
     with pytest.raises(ValueError, match="must be integers"):
         varimax(np.eye(3)[:, :2], max_sweeps=2.5)
+    with pytest.raises(ValueError, match="max_sweeps must be >= 0"):
+        varimax(np.eye(3)[:, :2], max_sweeps=-1)
 
 
 def test_sym_eig_and_varimax_take_numpy_integer_sizes():

@@ -269,23 +269,25 @@ def test_gen_dataset_deterministic_by_seed():
 
 
 def assert_rep_matches_direct_run(dgp, est):
-    # the public whole-array path is the oracle for the observations and the
-    # MSE error that the replication forms in time blocks
+    # the public whole-array path is the oracle for the observations, which
+    # the replication forms in time blocks, and for the MSE, which it scores
+    # in the joint span of the estimated and true loadings: the distances pin
+    # the observation bits exactly, the MSE agrees to rounding
     mc = run_monte_carlo(dgp, est, reps=1)
     ds = gen_dataset(dgp, rng=replication_rng(dgp.seed, 0))
     result = fit(ds.observations, est)
-    expected = [
+    distances = [
         subspace_distance(a_hat, a) for a_hat, a in zip(result.loadings.mats, ds.true_loadings.mats)
     ]
-    s_hat = common_components(result.loadings, result.factors)
-    expected.append(mse_common(s_hat, ds.true_common))
+    mse = mse_common(common_components(result.loadings, result.factors), ds.true_common)
     values = [row[3] for row in mc.rows]
-    assert values == expected
+    assert values[:-1] == distances
+    assert values[-1] == pytest.approx(mse, rel=1e-12)
     names = [name for name, _, _ in mc.aggregate]
     assert names == [f"distance_mode{k + 1}" for k in range(len(dgp.dims))] + ["mse"]
-    for (name, mean, sd), val in zip(mc.aggregate, expected):
-        assert mean == val
-        assert sd == 0.0
+    assert [mean for _, mean, _ in mc.aggregate[:-1]] == distances
+    assert mc.aggregate[-1][1] == pytest.approx(mse, rel=1e-12)
+    assert all(sd == 0.0 for _, _, sd in mc.aggregate)
 
 
 @pytest.mark.parametrize("law", ["tensor_normal", "tensor_t"])
@@ -306,6 +308,7 @@ def test_monte_carlo_single_rep_matches_direct_run(method, law):
     pytest.param((2, 204), 1000, (2, 2), id="wide-last-mode"),
     pytest.param((40, 100), 800, (32, 1), id="rank-32"),
     pytest.param((9, 9), 2001, (8, 8), id="rank-8-odd-blocks"),
+    pytest.param((3, 40), 300, (3, 2), id="full-rank-mode"),
 ])
 def test_monte_carlo_blocked_rep_matches_direct_run(dims, T, ranks, method):
     dgp = DgpConfig(dims=dims, T=T, ranks=ranks, noise_law="tensor_t", seed=14)
@@ -560,9 +563,9 @@ def test_blocked_common_part_matches_whole_array(dims, T, ranks):
 ], ids=["fit-ls", "fit-huber", "rank-huber", "fit-pair", "rank-pair"])
 def test_replication_peak_memory(est):
     # one setting-C replication holds one series, the observations: the
-    # common part, the MSE error and every Gram are formed in time blocks, the
-    # error in the spent observations.  The peak is the t-law noise draw's
-    # burn-in normals on top of the retained ones, plus a few blocks
+    # common part and every Gram are formed in time blocks, and the MSE is
+    # scored in the small joint loading span.  The peak is the t-law noise
+    # draw's burn-in normals on top of the retained ones, plus a few blocks
     dgp = DgpConfig(dims=(20, 20, 20), T=200, ranks=(3, 3, 3), noise_law="tensor_t", seed=34)
     observation_bytes = 8 * dgp.T * math.prod(dgp.dims)
     replication_rng(dgp.seed)  # outside the trace: the first one imports numpy.random
@@ -581,8 +584,9 @@ def test_replication_peak_memory(est):
     pytest.param((40, 100), 800, (32, 1), id="rank-32"),
 ])
 def test_wide_replication_peak_memory(dims, T, ranks, method):
-    # a wide mode or a large rank forms the common part and the MSE error in
-    # time blocks as well, so the replication holds one series here too
+    # a wide mode or a large rank forms the common part in time blocks as
+    # well and scores the MSE in the joint loading span, so the replication
+    # holds one series here too
     dgp = DgpConfig(dims=dims, T=T, ranks=ranks, noise_law="tensor_t", seed=37)
     observation_bytes = 8 * dgp.T * math.prod(dgp.dims)
     replication_rng(dgp.seed)  # outside the trace: the first one imports numpy.random

@@ -22,6 +22,7 @@ from rtfa import (
     series_unfold,
     sym_eig,
     unfold,
+    varimax,
 )
 
 rng = np.random.default_rng(0)
@@ -161,13 +162,16 @@ _REAL_SETTINGS = [
     pytest.param(lambda v: gen_noise((3, 3), 5, v, replication_rng(0)), "psi", id="noise-psi"),
     pytest.param(lambda v: gen_noise((3, 3), 5, 0.1, replication_rng(0), law="tensor_t", dof=v),
                  "t_dof", id="noise-dof"),
+    pytest.param(lambda v: varimax(np.eye(3)[:, :2], tol=v), "tol", id="varimax-tol"),
 ]
 
 
-@pytest.mark.parametrize("value", [True, False, math.inf, -math.inf, "0.5"])
+@pytest.mark.parametrize("value", [True, False, math.inf, -math.inf, "0.5",
+                                   pytest.param(10**400, id="int-over-float-max")])
 @pytest.mark.parametrize("call, name", _REAL_SETTINGS)
 def test_real_rule_refuses_bools_infinities_and_strings(call, name, value):
-    # a bool used to pass as 0 or 1, and t_dof=inf drew an all-NaN series
+    # a bool used to pass as 0 or 1, t_dof=inf drew an all-NaN series, and an
+    # int too large for a float raised OverflowError
     with pytest.raises(ValueError, match=name):
         call(value)
 
