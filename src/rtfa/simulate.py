@@ -8,6 +8,7 @@ a per-slice t mixing variable.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from collections.abc import Sequence
@@ -140,42 +141,57 @@ def gen_noise(
     divided by sqrt(chi2(dof)/dof), one mixing draw per slice.
 
     The burn_in + T + 1 standard normals come first in the stream, then the
-    mixing draws.  The result is a compact (T, p_1, ..., p_K) array,
-    bit-identical to the same steps run over the whole series at once.
+    mixing draws, and ``rng`` ends past both.  The products are linear, so the
+    mixing division and the recursion run on the normals, and only the T
+    retained slices, which become the result, go through the Cholesky
+    products, in time blocks.  The burn-in is drawn and run in time blocks;
+    under the t law its last min(burn_in + 1, T) slices are held until the
+    mixing draws are known, and the older ones are replayed from a copy of
+    ``rng``.  The result is a compact (T, p_1, ..., p_K) array, bit-identical
+    to the same steps run over the whole series at once.
     """
     dof = _check_noise_law(law, dof)
     psi = _real(psi, "psi", -1, 1, strict=True)
     dims = _check_dims(dims)
     T, burn_in = _check_length(T, burn_in)
-    n = burn_in + T
-    first = n + 1 - T  # the first retained slice
-    # Two calls draw the same stream as one call for all n + 1 slices.
-    burn = rng.standard_normal(size=(first, *dims))
-    out = rng.standard_normal(size=(T, *dims))
-    mix = None
-    if law == "tensor_t":
-        mix = np.sqrt(rng.chisquare(dof, size=n + 1) / dof).reshape((n + 1,) + (1,) * len(dims))
-    chols = _kron_factor_chols(dims)
+    first = burn_in + 1  # the first retained slice
+    held = min(first, T) if law == "tensor_t" else 0
+    blocks = _time_blocks(first - held, dims) if first > held else []
     scale = math.sqrt(1.0 - psi * psi)
     prev = None
-    for lo, hi in _time_blocks(n + 1, dims):
-        if hi <= first:
-            z = burn[lo:hi]
-        elif lo >= first:
-            z = out[lo - first:hi - first]
-        else:  # the block straddles the two arrays
-            z = np.concatenate((burn[lo:], out[:hi - first]))
-        u = series_multi_mode_product(z, chols)
+
+    def run(z, mix):
+        # divide z's slices by their mixing draws, then the recursion in place
+        nonlocal prev
         if mix is not None:
-            u /= mix[lo:hi]
-        for cur in u:
+            z /= mix
+        for cur in z:
             if prev is not None:  # slice 0 starts the recursion unscaled
                 cur *= scale
                 cur += psi * prev
             prev = cur
-        keep = max(lo, first)
-        if hi > keep:
-            out[keep - first:hi - first] = u[keep - lo:]
+        prev = prev.copy()  # so that z is freed once it is run
+
+    if law == "tensor_t":
+        replay = copy.deepcopy(rng)
+        for lo, hi in blocks:  # skipped here, replayed below
+            rng.standard_normal(size=(hi - lo, *dims))
+        hold = rng.standard_normal(size=(held, *dims))
+        out = rng.standard_normal(size=(T, *dims))
+        mix = np.sqrt(rng.chisquare(dof, size=first + T) / dof).reshape((-1,) + (1,) * len(dims))
+        for lo, hi in blocks:
+            run(replay.standard_normal(size=(hi - lo, *dims)), mix[lo:hi])
+        run(hold, mix[first - held:first])
+        del hold  # freed before the Cholesky products run
+        run(out, mix[first:])
+    else:
+        for lo, hi in blocks:
+            run(rng.standard_normal(size=(hi - lo, *dims)), None)
+        out = rng.standard_normal(size=(T, *dims))
+        run(out, None)
+    chols = _kron_factor_chols(dims)
+    for lo, hi in _time_blocks(T, dims):
+        out[lo:hi] = series_multi_mode_product(out[lo:hi], chols)
     return out
 
 

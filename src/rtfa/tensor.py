@@ -139,7 +139,8 @@ def series_mode_product(xs: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
     rows = math.prod(xs.shape[1:k + 1])
     trail = math.prod(xs.shape[k + 2:])
     if trail == 1:
-        out = np.matmul(xs.reshape(len(xs), rows, a.shape[1]), a.T)
+        # a C-ordered B operand: faster, and still one product per slice
+        out = np.matmul(xs.reshape(len(xs), rows, a.shape[1]), np.ascontiguousarray(a.T))
     else:
         out = np.matmul(a, xs.reshape(len(xs) * rows, a.shape[1], trail))
     return out.reshape(*xs.shape[:k + 1], a.shape[0], *xs.shape[k + 2:])

@@ -431,22 +431,38 @@ def test_csv_writers(tmp_path):
 
 # --- the blocked DGP against its whole-array form --------------------------------
 
-def gen_noise_whole(dims, T, psi, rng, law="tensor_normal", dof=3.0, burn_in=100):
-    # gen_noise as whole-array passes over all burn_in + T + 1 slices: the
-    # oracle that its blocked pass must reproduce bit for bit
-    dims = tuple(dims)
-    n = burn_in + T
-    z = rng.standard_normal(size=(n + 1, *dims))
-    u = series_multi_mode_product(z, _kron_factor_chols(dims))
-    if law == "tensor_t":
-        mix = np.sqrt(rng.chisquare(dof, size=n + 1) / dof)
-        u /= mix.reshape((n + 1,) + (1,) * len(dims))
+def ar1_whole(u, psi):
+    # the AR(1) recursion over every slice of u, slice 0 unscaled
     out = np.empty_like(u)
     out[0] = u[0]
     scale = math.sqrt(1.0 - psi * psi)
-    for i in range(1, n + 1):
+    for i in range(1, len(u)):
         out[i] = psi * out[i - 1] + scale * u[i]
-    return out[n - T + 1:]
+    return out
+
+
+def gen_noise_whole(dims, T, psi, rng, law="tensor_normal", dof=3.0, burn_in=100):
+    # gen_noise as whole-array passes over all burn_in + T + 1 slices: the
+    # oracle that its blocked pass must reproduce bit for bit.  The mixing
+    # division and the recursion run on the normals, and the Cholesky products
+    # on the T retained slices only
+    dims = tuple(dims)
+    n = burn_in + T
+    z = rng.standard_normal(size=(n + 1, *dims))
+    if law == "tensor_t":
+        z /= np.sqrt(rng.chisquare(dof, size=n + 1) / dof).reshape((n + 1,) + (1,) * len(dims))
+    return series_multi_mode_product(ar1_whole(z, psi)[n - T + 1:], _kron_factor_chols(dims))
+
+
+def gen_noise_cholesky_first(dims, T, psi, rng, law="tensor_normal", dof=3.0, burn_in=100):
+    # the same law with the Cholesky products on every slice before the mixing
+    # division and the recursion: equal to gen_noise up to rounding
+    dims = tuple(dims)
+    n = burn_in + T
+    u = series_multi_mode_product(rng.standard_normal(size=(n + 1, *dims)), _kron_factor_chols(dims))
+    if law == "tensor_t":
+        u /= np.sqrt(rng.chisquare(dof, size=n + 1) / dof).reshape((n + 1,) + (1,) * len(dims))
+    return ar1_whole(u, psi)[n - T + 1:]
 
 
 def gen_dataset_whole(config, rng):
@@ -483,6 +499,7 @@ BLOCKED_CASES = [
     pytest.param((50,), _ONE_OVER, 100, id="K1-one-slice-over"),
     pytest.param((8, 7, 6, 5), 50, 20, id="K4"),
     pytest.param((30, 30, 30), 20, 10, id="one-slice-block"),
+    pytest.param((20, 20, 20), 5, 200, id="replayed-burn-in"),
 ]
 
 
@@ -494,6 +511,8 @@ def test_gen_noise_blocked_matches_whole_array(dims, T, burn_in, law):
     assert got.shape == (T, *dims)
     assert got.flags.c_contiguous and got.base is None
     assert same_bits(got, want)
+    before = gen_noise_cholesky_first(dims, T, 0.3, replication_rng(31), law=law, burn_in=burn_in)
+    assert np.max(np.abs(got - before)) <= 1e-13 * np.max(np.abs(before))
 
 
 @pytest.mark.parametrize("law", ["tensor_normal", "tensor_t"])
@@ -565,7 +584,8 @@ def test_replication_peak_memory(est):
     # one setting-C replication holds one series, the observations: the
     # common part and every Gram are formed in time blocks, and the MSE is
     # scored in the small joint loading span.  The peak is the t-law noise
-    # draw's burn-in normals on top of the retained ones, plus a few blocks
+    # draw's held burn-in slices, min(burn_in + 1, T) of them, on top of the
+    # retained ones, plus a few blocks
     dgp = DgpConfig(dims=(20, 20, 20), T=200, ranks=(3, 3, 3), noise_law="tensor_t", seed=34)
     observation_bytes = 8 * dgp.T * math.prod(dgp.dims)
     replication_rng(dgp.seed)  # outside the trace: the first one imports numpy.random
@@ -599,15 +619,35 @@ def test_wide_replication_peak_memory(dims, T, ranks, method):
     assert peak < 1.95 * observation_bytes
 
 
-def test_gen_noise_peak_memory():
-    # the retained normals become the result, so the draw holds the
-    # burn_in + T + 1 normals and a few blocks, not another T slices
-    dims, T, burn_in = (20, 20, 20), 200, 100
+@pytest.mark.parametrize("T", [200, 10])
+@pytest.mark.parametrize("law", ["tensor_normal", "tensor_t"])
+def test_gen_noise_peak_memory(law, T):
+    # the retained normals become the result, and the burn-in is drawn and run
+    # in time blocks: the draw holds the T retained slices, under the t law
+    # the last min(burn_in + 1, T) burn-in slices, and a few blocks
+    dims, burn_in = (20, 20, 20), 100
+    held = min(burn_in + 1, T) if law == "tensor_t" else 0
     rng = replication_rng(35)  # outside the trace: the first one imports numpy.random
     tracemalloc.start()
     try:
-        gen_noise(dims, T, 0.1, rng, law="tensor_t", burn_in=burn_in)
+        gen_noise(dims, T, 0.1, rng, law=law, burn_in=burn_in)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (burn_in + T + 1) * math.prod(dims) + 4 * _BLOCK_BYTES
+    assert peak < 8 * (T + held) * math.prod(dims) + 4 * _BLOCK_BYTES
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+@pytest.mark.parametrize("law", ["tensor_normal", "tensor_t"])
+def test_gen_noise_leaves_the_stream_where_one_call_would(law, bit_generator):
+    # at T=3 and burn_in=10 the t law replays the older burn-in from a copy of
+    # the generator; the caller's generator must still end past every draw
+    dims, T, burn_in = (4, 3, 2), 3, 10
+    rng = np.random.Generator(bit_generator(38))
+    gen_noise(dims, T, 0.1, rng, law=law, burn_in=burn_in)
+    want = np.random.Generator(bit_generator(38))
+    want.standard_normal((burn_in + T + 1, *dims))
+    if law == "tensor_t":
+        want.chisquare(3.0, burn_in + T + 1)
+    assert same_bits(rng.standard_normal(5), want.standard_normal(5))
+    assert same_bits(rng.random(5), want.random(5))
