@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import sys
 from pathlib import Path
@@ -23,7 +22,7 @@ from .estimation import (
     common_components,
     fit,
 )
-from .io import FileFormatError, read_matrix, read_series, write_matrix, write_series
+from .io import FileFormatError, _write_csv, read_matrix, read_series, write_matrix, write_series
 from .metrics import (
     complete_linkage,
     loading_distance_matrix,
@@ -42,7 +41,7 @@ _SETTINGS = {
 }
 _T_GRID = (20, 50, 100, 200)
 _NOISE = {"normal": "tensor_normal", "t3": "tensor_t"}  # --noise label -> noise law
-_SERIES_EXTS = (".tsrb", ".tsr")
+_SERIES_EXTS = {"binary": ".tsrb", "text": ".tsr"}  # encoding -> extension
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -62,34 +61,30 @@ def _parse_tau(text: str):
         raise argparse.ArgumentTypeError(f"tau must be 'median' or a number, got {text!r}")
 
 
-def _loading_paths(prefix: str):
-    paths = []
-    k = 1
-    while True:
-        path = Path(f"{prefix}_loading{k}.mtx")
-        if not path.exists():
-            break
-        paths.append(path)
-        k += 1
-    if not paths:
+# A prefix file set: <prefix>_loading<k>.mtx for k = 1, 2, ... and one
+# <prefix>_<name>.tsr[b] per named series.
+def _write_prefix(prefix: str, mats, encoding: str, **series) -> None:
+    for k, a in enumerate(mats, start=1):
+        write_matrix(a, f"{prefix}_loading{k}.mtx")
+    for name, values in series.items():
+        write_series(values, f"{prefix}_{name}{_SERIES_EXTS[encoding]}", encoding)
+
+
+def _read_loadings(prefix: str) -> list[np.ndarray]:
+    mats = []
+    while (path := Path(f"{prefix}_loading{len(mats) + 1}.mtx")).exists():
+        mats.append(read_matrix(path))
+    if not mats:
         raise FileNotFoundError(f"no loading files found at {prefix}_loading1.mtx")
-    return paths
+    return mats
 
 
 def _find_series(prefix: str, stem: str) -> Path:
-    for ext in _SERIES_EXTS:
+    for ext in _SERIES_EXTS.values():
         path = Path(f"{prefix}_{stem}{ext}")
         if path.exists():
             return path
     raise FileNotFoundError(f"no {stem} series found for prefix {prefix}")
-
-
-def _write_truth(prefix: str, dataset, encoding: str) -> None:
-    for k, a in enumerate(dataset.true_loadings.mats):
-        write_matrix(a, f"{prefix}_loading{k + 1}.mtx")
-    ext = ".tsrb" if encoding == "binary" else ".tsr"
-    write_series(dataset.true_factors, f"{prefix}_factors{ext}", encoding)
-    write_series(dataset.true_common, f"{prefix}_common{ext}", encoding)
 
 
 def _cmd_simulate(args) -> int:
@@ -107,7 +102,8 @@ def _cmd_simulate(args) -> int:
     dataset = gen_dataset(config, rng=replication_rng(config.seed))
     write_series(dataset.observations, args.out, args.format)
     if args.truth_out:
-        _write_truth(args.truth_out, dataset, args.format)
+        truth = {"factors": dataset.true_factors, "common": dataset.true_common}
+        _write_prefix(args.truth_out, dataset.true_loadings.mats, args.format, **truth)
     return 0
 
 
@@ -121,17 +117,14 @@ def _cmd_estimate(args) -> int:
     )
     x = read_series(args.infile)
     result = fit(x, config)
-    for k, a in enumerate(result.loadings.mats):
-        write_matrix(a, f"{args.out}_loading{k + 1}.mtx")
-    write_series(result.factors, f"{args.out}_factors.tsrb", "binary")
-    with open(f"{args.out}_diagnostics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["iterations_run", result.iterations_run])
-        writer.writerow(["converged", int(result.converged)])
-        writer.writerow(["tau_used", "" if result.tau_used is None else f"{result.tau_used:.17g}"])
-        for i, change in enumerate(result.per_iteration_subspace_change, start=1):
-            writer.writerow([f"subspace_change_{i}", f"{change:.17g}"])
+    _write_prefix(args.out, result.loadings.mats, "binary", factors=result.factors)
+    changes = enumerate(result.per_iteration_subspace_change, start=1)
+    _write_csv(f"{args.out}_diagnostics.csv", ["key", "value"], [
+        ["iterations_run", result.iterations_run],
+        ["converged", int(result.converged)],
+        ["tau_used", result.tau_used],  # None (ls) is an empty field
+        *([f"subspace_change_{i}", change] for i, change in changes),
+    ])
     return 0
 
 
@@ -146,12 +139,11 @@ def _cmd_rank(args) -> int:
     x = read_series(args.infile)
     result = estimate_ranks(x, config)
     traces = args.traces_out or str(Path(args.infile).with_suffix("")) + "_eigs.csv"
-    with open(traces, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "index", "value"])
-        for k, values in enumerate(result.eigenvalues, start=1):
-            for j, v in enumerate(values, start=1):
-                writer.writerow([k, j, f"{v:.17g}"])
+    _write_csv(traces, ["mode", "index", "value"], (
+        [k, j, v]
+        for k, values in enumerate(result.eigenvalues, start=1)
+        for j, v in enumerate(values, start=1)
+    ))
     print(" ".join(str(r) for r in result.ranks))
     return 0
 
@@ -161,25 +153,23 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"--metric {args.metric} requires --truth")
     if args.metric == "relmse" and not args.infile:
         raise ValueError("--metric relmse requires --in (the observation series)")
-    est_mats = [read_matrix(p) for p in _loading_paths(args.est)]
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["metric", "mode", "value"])
+    est_mats = _read_loadings(args.est)
+    # every row is computed before any is printed: a failure prints nothing
     if args.metric == "distance":
-        truth_mats = [read_matrix(p) for p in _loading_paths(args.truth)]
+        truth_mats = _read_loadings(args.truth)
         if len(truth_mats) != len(est_mats):
             raise ValueError("estimate and truth have different mode counts")
-        for k, (a_hat, a_true) in enumerate(zip(est_mats, truth_mats), start=1):
-            writer.writerow(["distance", k, f"{subspace_distance(a_hat, a_true):.17g}"])
-        return 0
-    loadings = LoadingSet(tuple(est_mats))
-    factors = read_series(_find_series(args.est, "factors"))
-    s_hat = common_components(loadings, factors)
-    if args.metric == "mse":
-        truth_common = read_series(_find_series(args.truth, "common"))
-        writer.writerow(["mse", "", f"{mse_common(s_hat, truth_common):.17g}"])
-    else:  # relmse
-        x = read_series(args.infile)
-        writer.writerow(["relmse", "", f"{relative_mse(x, s_hat):.17g}"])
+        pairs = enumerate(zip(est_mats, truth_mats), start=1)
+        rows = [["distance", k, subspace_distance(a_hat, a_true)] for k, (a_hat, a_true) in pairs]
+    else:
+        factors = read_series(_find_series(args.est, "factors"))
+        s_hat = common_components(LoadingSet(tuple(est_mats)), factors)
+        if args.metric == "mse":
+            truth_common = read_series(_find_series(args.truth, "common"))
+            rows = [["mse", None, mse_common(s_hat, truth_common)]]
+        else:  # relmse
+            rows = [["relmse", None, relative_mse(read_series(args.infile), s_hat)]]
+    _write_csv(sys.stdout, ["metric", "mode", "value"], rows)
     return 0
 
 
@@ -202,7 +192,7 @@ def _cmd_replicate(args) -> int:
         ests = [EstimationConfig(ranks=ranks, method=method) for method in _METHODS]
     else:
         ests = [RankConfig(r_max=8, c=0.0, method=method) for method in _METHODS]
-    out_rows = []
+    rows = []
     for t_len, label in itertools.product(_T_GRID, labels):
         dgp = DgpConfig(
             dims=dims, T=t_len, ranks=ranks, phi=0.1, psi=0.1,
@@ -212,14 +202,9 @@ def _cmd_replicate(args) -> int:
         for method, result in zip(_METHODS, results):
             for name, mean, sd in result.aggregate:
                 if name.startswith(prefix):
-                    out_rows.append(
-                        [args.table, args.setting, label, t_len, method,
-                         name, f"{mean:.17g}", f"{sd:.17g}"]
-                    )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["table", "setting", "noise", "T", "method", "metric", "mean", "sd"])
-        writer.writerows(out_rows)
+                    rows.append([args.table, args.setting, label, t_len, method, name, mean, sd])
+    header = ["table", "setting", "noise", "T", "method", "metric", "mean", "sd"]
+    _write_csv(args.out, header, rows)
     return 0
 
 
@@ -232,28 +217,14 @@ def _cmd_analyze(args) -> int:
     if args.varimax:
         rotated = _fix_signs(varimax(a)[0])
         display = np.trunc(30.0 * rotated).astype(int)
-        with open(f"{prefix}_varimax.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            r = rotated.shape[1]
-            writer.writerow(
-                ["entity"]
-                + [f"col{j + 1}" for j in range(r)]
-                + [f"display{j + 1}" for j in range(r)]
-            )
-            for i in range(rotated.shape[0]):
-                writer.writerow(
-                    [i + 1]
-                    + [f"{v:.17g}" for v in rotated[i]]
-                    + [str(int(v)) for v in display[i]]
-                )
+        cols = range(1, rotated.shape[1] + 1)
+        header = ["entity", *(f"col{j}" for j in cols), *(f"display{j}" for j in cols)]
+        rows = ([i + 1, *rotated[i], *display[i]] for i in range(len(rotated)))
+        _write_csv(f"{prefix}_varimax.csv", header, rows)
         display_source = rotated
     if args.cluster:
         tree = complete_linkage(loading_distance_matrix(display_source))
-        with open(f"{prefix}_clusters.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cluster_a", "cluster_b", "height"])
-            for ca, cb, height in tree.merges:
-                writer.writerow([ca, cb, f"{height:.17g}"])
+        _write_csv(f"{prefix}_clusters.csv", ["cluster_a", "cluster_b", "height"], tree.merges)
     return 0
 
 

@@ -9,13 +9,15 @@ then T*p little-endian f64 in the same order.
 Matrix, text: a line ``MTX 1``, a line ``rows cols``, then one line of cols
 values per row.
 
-Text payload values are whitespace-separated, in ``float`` syntax without
-underscores. Blank lines are ignored; any other layout, including an empty
-payload, is a ``FileFormatError``. Writers reject a zero-length axis.
+Text files are ASCII, payload values whitespace-separated in ``float`` syntax
+without underscores. Blank lines are ignored; any other layout, including an
+empty payload or a non-ASCII byte, is a ``FileFormatError``. Writers reject a
+zero-length axis.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import struct
 import warnings
@@ -62,12 +64,12 @@ def _read_rows(fh, rows: int, cols: int) -> np.ndarray:
 
 
 def _read_header(fh, magic: str) -> list[int]:
-    if fh.readline().split() != magic.split():
-        raise FileFormatError(f"bad {magic!r} header")
     try:
+        if fh.readline().split() != magic.split():
+            raise FileFormatError(f"bad {magic!r} header")
         return [int(v) for v in fh.readline().split()]
-    except ValueError as exc:
-        raise FileFormatError("bad dimension line") from exc
+    except ValueError as exc:  # a bad integer, or a non-ASCII byte
+        raise FileFormatError(f"bad {magic!r} header: {exc}") from exc
 
 
 def write_series(series: np.ndarray, path, encoding: str = "binary") -> None:
@@ -80,7 +82,7 @@ def write_series(series: np.ndarray, path, encoding: str = "binary") -> None:
         raise FileFormatError("dimension overflow for the series format")
     flat = _storage_flat(series)
     if encoding == "text":
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="ascii") as fh:
             fh.write("TSR 1 text\n")
             fh.write(" ".join(str(v) for v in (len(dims), *dims, t_len)) + "\n")
             _write_rows(fh, flat.reshape(t_len, -1))
@@ -97,7 +99,7 @@ def write_series(series: np.ndarray, path, encoding: str = "binary") -> None:
 
 
 def _read_text_series(path) -> np.ndarray:
-    with open(path, "r") as fh:
+    with open(path, encoding="ascii") as fh:
         nums = _read_header(fh, "TSR 1 text")
         if len(nums) < 3:
             raise FileFormatError("bad dimension line")
@@ -160,15 +162,28 @@ def write_matrix(a: np.ndarray, path) -> None:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or 0 in a.shape:
         raise ValueError("expected a matrix with no zero-length axis")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.write("MTX 1\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
         _write_rows(fh, a)
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "r") as fh:
+    with open(path, encoding="ascii") as fh:
         shape = _read_header(fh, "MTX 1")
         if len(shape) != 2 or min(shape) < 1:
             raise FileFormatError("matrix shape must be two positive integers")
         return _read_rows(fh, *shape)
+
+
+def _write_csv(out, header, rows) -> None:
+    """Write a header and rows as CSV to a path or a text stream, in csv's default
+    dialect: floats (numpy's too) as %.17g, None as an empty field, others by str."""
+    if not hasattr(out, "write"):
+        with open(out, "w", newline="") as fh:
+            _write_csv(fh, header, rows)
+        return
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, (float, np.floating)) else v for v in row])

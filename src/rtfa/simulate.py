@@ -9,7 +9,6 @@ a per-slice t mixing variable.
 from __future__ import annotations
 
 import copy
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from typing import Union
 import numpy as np
 
 from .estimation import EstimationConfig, LoadingSet, fit
+from .io import _write_csv
 from .metrics import orthonormal_basis, subspace_distance
 from .ranks import RankConfig, estimate_ranks
 from .tensor import (
@@ -336,17 +336,9 @@ def run_monte_carlo(
 
 def write_replication_csv(result: MonteCarloResult, path) -> None:
     """Long-format per-replication records: rep, mode, metric, value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep", "mode", "metric", "value"])
-        for rep, mode, metric, value in result.rows:
-            writer.writerow([rep, "" if mode is None else mode, metric, f"{value:.17g}"])
+    _write_csv(path, ["rep", "mode", "metric", "value"], result.rows)
 
 
 def write_aggregate_csv(result: MonteCarloResult, path) -> None:
     """Aggregated records: metric, mean, sd."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "sd"])
-        for name, mean, sd in result.aggregate:
-            writer.writerow([name, f"{mean:.17g}", f"{sd:.17g}"])
+    _write_csv(path, ["metric", "mean", "sd"], result.aggregate)

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from rtfa import DgpConfig, gen_dataset, read_matrix, read_series, write_matrix, write_series
+from rtfa import (
+    DgpConfig,
+    EstimationConfig,
+    RankConfig,
+    estimate_ranks,
+    fit,
+    gen_dataset,
+    read_matrix,
+    read_series,
+    write_matrix,
+    write_series,
+)
 from rtfa.cli import main
 
 DIMS = "10,10,10"
@@ -69,6 +80,21 @@ def test_estimate_then_evaluate_noiseless(tmp_path, capsys):
     assert diag[0] == "key,value"
     assert any(line.startswith("iterations_run,") for line in diag)
     assert any(line.startswith("converged,1") for line in diag)
+    assert "tau_used," in diag  # least squares has no threshold: an empty field
+
+    # a noisy series, so that the resolved threshold is not the 1e-12 floor
+    noisy = tmp_path / "noisy.tsrb"
+    write_series(gen_dataset(DgpConfig(dims=(8, 8, 8), T=30, seed=31)).observations, noisy)
+    code, _, _ = run(
+        capsys, "estimate", "--in", str(noisy), "--ranks", "2,2,2",
+        "--method", "huber", "--out", str(tmp_path / "hub"),
+    )
+    assert code == 0
+    diag = dict(
+        line.split(",") for line in (tmp_path / "hub_diagnostics.csv").read_text().splitlines()
+    )
+    config = EstimationConfig(ranks=(2, 2, 2), method="huber")
+    assert float(diag["tau_used"]) == fit(read_series(noisy), config).tau_used
 
     code, out, _ = run(
         capsys, "evaluate", "--est", str(est), "--truth", str(truth), "--metric", "distance",
@@ -128,6 +154,23 @@ def test_evaluate_relmse_without_in_exits_2_before_reading(tmp_path, capsys):
     assert err.startswith("error: --metric relmse requires --in")
 
 
+@pytest.mark.parametrize("case, expected_code", [("mode_count", 2), ("no_factors", 3)])
+def test_failed_evaluate_prints_nothing(tmp_path, capsys, case, expected_code):
+    data, truth = write_noiseless(tmp_path)
+    est = tmp_path / "est"
+    run(capsys, "estimate", "--in", str(data), "--ranks", "2,2,2", "--out", str(est))
+    if case == "mode_count":
+        (tmp_path / "est_loading3.mtx").unlink()
+        argv = ("--truth", str(truth), "--metric", "distance")
+    else:
+        (tmp_path / "est_factors.tsrb").unlink()
+        argv = ("--truth", str(truth), "--metric", "mse")
+    code, out, err = run(capsys, "evaluate", "--est", str(est), *argv)
+    assert code == expected_code
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_rank_command(tmp_path, capsys):
     data = tmp_path / "data.tsrb"
     run(
@@ -144,6 +187,11 @@ def test_rank_command(tmp_path, capsys):
     lines = traces.read_text().splitlines()
     assert lines[0] == "mode,index,value"
     assert len(lines) > 3
+    # %.17g round-trips: every trace value is the spectrum's, bit for bit
+    eigenvalues = estimate_ranks(read_series(data), RankConfig(method="huber")).eigenvalues
+    expected = [(k, j, v) for k, vals in enumerate(eigenvalues, 1) for j, v in enumerate(vals, 1)]
+    got = [(int(k), int(j), float(v)) for k, j, v in (line.split(",") for line in lines[1:])]
+    assert got == expected
 
 
 def test_rank_default_traces_path(tmp_path, capsys):
@@ -163,6 +211,12 @@ def test_exit_code_io_error(tmp_path, capsys):
         capsys, "estimate", "--in", str(tmp_path / "absent.tsrb"),
         "--ranks", "2,2,2", "--out", str(tmp_path / "est"),
     )
+    assert code == 3
+    assert err.startswith("error:")
+    # a binary series where a text matrix belongs: a format error, not a decode error
+    data = tmp_path / "d.tsrb"
+    write_series(np.random.default_rng(4).standard_normal((20, 3, 3)), data, "binary")
+    code, _, err = run(capsys, "analyze", "--loadings", str(data), "--cluster")
     assert code == 3
     assert err.startswith("error:")
 

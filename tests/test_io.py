@@ -91,6 +91,9 @@ def test_text_bad_headers(tmp_path):
     path.write_text("TSR 1 text\n2 2 2 1\n1 3 two 4\n")
     with pytest.raises(FileFormatError):
         read_series(path)
+    path.write_bytes(b"TSR 1 text\n\xff\n")  # text files are ASCII
+    with pytest.raises(FileFormatError):
+        read_series(path)
 
 
 def test_binary_zero_mode_count(tmp_path):
@@ -162,6 +165,12 @@ def test_matrix_errors(tmp_path):
     with pytest.raises(FileFormatError):
         read_matrix(path)
     path.write_text("MTX 1\n2 2\n1 2 3\n")
+    with pytest.raises(FileFormatError):
+        read_matrix(path)
+    path.write_bytes(b"MTX 1\n1 1\n\xff\n")
+    with pytest.raises(FileFormatError):
+        read_matrix(path)
+    path.write_bytes(GOLDEN_BINARY)  # a binary series where a matrix belongs
     with pytest.raises(FileFormatError):
         read_matrix(path)
     with pytest.raises(ValueError):
