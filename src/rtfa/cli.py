@@ -16,6 +16,7 @@ import numpy as np
 from .eig import _fix_signs, varimax
 from .estimation import (
     _METHODS,
+    _check_series,
     EstimationConfig,
     LoadingSet,
     NumericalError,
@@ -162,13 +163,13 @@ def _cmd_evaluate(args) -> int:
         pairs = enumerate(zip(est_mats, truth_mats), start=1)
         rows = [["distance", k, subspace_distance(a_hat, a_true)] for k, (a_hat, a_true) in pairs]
     else:
-        factors = read_series(_find_series(args.est, "factors"))
+        factors = _check_series(read_series(_find_series(args.est, "factors")))
         s_hat = common_components(LoadingSet(tuple(est_mats)), factors)
         if args.metric == "mse":
-            truth_common = read_series(_find_series(args.truth, "common"))
+            truth_common = _check_series(read_series(_find_series(args.truth, "common")))
             rows = [["mse", None, mse_common(s_hat, truth_common)]]
         else:  # relmse
-            rows = [["relmse", None, relative_mse(read_series(args.infile), s_hat)]]
+            rows = [["relmse", None, relative_mse(_check_series(read_series(args.infile)), s_hat)]]
     _write_csv(sys.stdout, ["metric", "mode", "value"], rows)
     return 0
 

@@ -48,7 +48,7 @@ class LoadingSet:
                 raise ValueError(f"loading {k} is not a matrix")
             p_k = a.shape[0]
             gram = a.T @ a / p_k
-            if np.max(np.abs(gram - np.eye(a.shape[1]))) > 1e-8:
+            if not np.max(np.abs(gram - np.eye(a.shape[1]))) <= 1e-8:  # NaN fails too
                 raise ValueError(f"loading {k} violates the normalization A.T A / p = I")
 
     @property
@@ -180,16 +180,16 @@ _DIRECT_SHARE = 1.0 - 1e-4
 _ZERO_ULPS = 64
 
 
-def _scales_from_norms(xs, mats, xnorm2, cnorm2) -> np.ndarray:
-    """:func:`residual_scales` from ||X_t||^2 and ||core_t||^2, where core_t is
-    X_t contracted with the transpose of every loading in ``mats``."""
+def _scales_from_core(xs, mats, xnorm2, core) -> np.ndarray:
+    """:func:`residual_scales` from ||X_t||^2 and core_t, X_t contracted with
+    the transpose of every loading in ``mats``."""
     p = math.prod(xs.shape[1:])
+    cflat = core.reshape(len(core), -1)
+    cnorm2 = np.einsum("ti,ti->t", cflat, cflat)
     s = np.sqrt(np.maximum(xnorm2 - cnorm2 / p, 0.0) / p)
     direct = cnorm2 / p >= _DIRECT_SHARE * xnorm2
     if direct.any():
-        sub = xs[direct]
-        core = series_multi_mode_product(sub, mats, transpose=True)
-        resid = (sub - series_multi_mode_product(core, mats) / p).reshape(len(sub), -1)
+        resid = (xs[direct] - series_multi_mode_product(core[direct], mats) / p).reshape(-1, p)
         s_direct = np.sqrt(np.einsum("ti,ti->t", resid, resid) / p)
         floor = _ZERO_ULPS * np.finfo(float).eps * np.sqrt(xnorm2[direct] / p)
         s[direct] = np.where(s_direct <= floor, 0.0, s_direct)
@@ -214,9 +214,7 @@ def residual_scales(x: np.ndarray, loadings: LoadingSet) -> np.ndarray:
     if not np.isfinite(xnorm2).all():
         raise NumericalError("non-finite values in input series or overflow in its slice norms")
     core = series_multi_mode_product(xs, loadings.mats, transpose=True)
-    cflat = core.reshape(core.shape[0], -1)
-    cnorm2 = np.einsum("ti,ti->t", cflat, cflat)
-    return _scales_from_norms(xs, loadings.mats, xnorm2, cnorm2)
+    return _scales_from_core(xs, loadings.mats, xnorm2, core)
 
 
 def _weights_from_scales(s: np.ndarray, tau: float) -> np.ndarray:
@@ -265,9 +263,8 @@ def _sweep_cov(xs: np.ndarray, mats: list[np.ndarray], k: int, huber=None):
             proj = series_mode_product(proj, j, mats[j].T)
     w = None
     if huber is not None:
-        core = series_mode_product(proj, k, mats[k].T).reshape(len(xs), -1)
-        cnorm2 = np.einsum("ti,ti->t", core, core)
-        w = _weights_from_scales(_scales_from_norms(xs, mats, huber[1], cnorm2), huber[0])
+        core = series_mode_product(proj, k, mats[k].T)
+        w = _weights_from_scales(_scales_from_core(xs, mats, huber[1], core), huber[0])
     return _gram(proj, k, w) / (xs.size * (xs[0].size // dims[k])), w
 
 

@@ -40,7 +40,8 @@ def _storage_flat(series: np.ndarray) -> np.ndarray:
 
 def _from_storage_flat(data: np.ndarray, dims: tuple[int, ...], t_len: int) -> np.ndarray:
     shaped = data.reshape((*dims, t_len), order="F")
-    return np.ascontiguousarray(np.moveaxis(shaped, -1, 0))
+    # always a copy: writable, and never a view that keeps the file's bytes alive
+    return np.array(np.moveaxis(shaped, -1, 0), dtype=float, order="C")
 
 
 def _write_rows(fh, rows: np.ndarray) -> None:
@@ -93,7 +94,7 @@ def write_series(series: np.ndarray, path, encoding: str = "binary") -> None:
             fh.write(struct.pack("<I", len(dims)))
             fh.write(struct.pack(f"<{len(dims)}I", *dims))
             fh.write(struct.pack("<Q", t_len))
-            fh.write(flat.astype("<f8").tobytes())
+            fh.write(flat.astype("<f8", copy=False))  # no copy on a little-endian host
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
 
@@ -137,13 +138,11 @@ def _read_binary_series(path) -> np.ndarray:
     if any(d < 1 for d in dims) or t_len < 1:
         raise FileFormatError("dimensions must be positive")
     expected = t_len * math.prod(dims)
-    payload = blob[off:]
-    if len(payload) != 8 * expected:
+    if len(blob) - off != 8 * expected:
         raise FileFormatError(
-            f"truncated payload: expected {8 * expected} bytes, found {len(payload)}"
+            f"truncated payload: expected {8 * expected} bytes, found {len(blob) - off}"
         )
-    data = np.frombuffer(payload, dtype="<f8").astype(float)
-    return _from_storage_flat(data, dims, t_len)
+    return _from_storage_flat(np.frombuffer(blob, "<f8", offset=off), dims, t_len)
 
 
 def read_series(path) -> np.ndarray:

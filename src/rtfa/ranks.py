@@ -64,8 +64,8 @@ def rate_constants(dims, T: int) -> RateConstants:
 def eigenvalue_ratio_pick(values, penalty: float, r_max: int) -> int:
     """argmax over j <= r_max of values[j] / (values[j+1] + penalty), 1-based.
 
-    Ties break toward the smallest j.  ``values`` must be non-increasing,
-    nonnegative, and supply at least r_max + 1 entries.  Values at or below
+    Ties break toward the smallest j.  ``values`` must be finite, non-increasing
+    and nonnegative, and supply at least r_max + 1 entries.  Values at or below
     64 eps len(values) values[0] are set to exactly 0 first, so the pick does
     not depend on the sign or size of rounding noise: with zero penalty a
     ratio values[j] / 0 is +inf when values[j] > 0 and 0 / 0 counts as -inf.
@@ -76,8 +76,8 @@ def eigenvalue_ratio_pick(values, penalty: float, r_max: int) -> int:
         raise ValueError(f"need at least {r_max + 1} eigenvalues, got {v.size}")
     penalty = _real(penalty, "penalty", 0)
     scale = max(v[0], 1.0)
-    if (v < -1e-12 * scale).any() or (np.diff(v) > 1e-12 * scale).any():
-        raise ValueError("values must be non-increasing and nonnegative")
+    if not np.isfinite(v).all() or v.min() < -1e-12 * scale or np.diff(v).max() > 1e-12 * scale:
+        raise ValueError("values must be finite, non-increasing and nonnegative")
     v = np.where(v <= _ZERO_ULPS * np.finfo(float).eps * v.size * max(v[0], 0.0), 0.0, v)
     num = v[:r_max]
     den = v[1:r_max + 1] + penalty

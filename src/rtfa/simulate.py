@@ -100,19 +100,29 @@ def gen_loadings(dims, ranks, rng: np.random.Generator):
     return raw, normalized
 
 
+def _ar1(z: np.ndarray, coef: float, prev, mix=None) -> np.ndarray:
+    """Run cur = coef * prev + sqrt(1 - coef^2) * cur in place over z's slices,
+    each first divided by its mixing draw in ``mix`` when given; ``prev`` is the
+    slice before z (None: z[0] stays as is).  Returns a copy of the last slice."""
+    if mix is not None:
+        z /= mix
+    scale = math.sqrt(1.0 - coef * coef)
+    for cur in z:
+        if prev is not None:
+            cur *= scale
+            cur += coef * prev
+        prev = cur
+    return prev.copy()
+
+
 def gen_factors(ranks, T: int, phi: float, rng: np.random.Generator, burn_in: int = 100) -> np.ndarray:
     """Stationary AR(1) factor cores with unit per-coordinate variance."""
     phi = _real(phi, "phi", -1, 1, strict=True)
     shape = _check_dims(ranks, "ranks")
     T, burn_in = _check_length(T, burn_in)
-    n = burn_in + T
-    eps = rng.standard_normal(size=(n + 1, *shape))
-    out = np.empty_like(eps)
-    out[0] = eps[0]
-    scale = math.sqrt(1.0 - phi * phi)
-    for i in range(1, n + 1):
-        out[i] = phi * out[i - 1] + scale * eps[i]
-    return out[n - T + 1:]
+    eps = rng.standard_normal(size=(burn_in + T + 1, *shape))
+    _ar1(eps, phi, None)
+    return eps[burn_in + 1:]
 
 
 def _kron_factor_chols(dims) -> list[np.ndarray]:
@@ -156,22 +166,8 @@ def gen_noise(
     T, burn_in = _check_length(T, burn_in)
     first = burn_in + 1  # the first retained slice
     held = min(first, T) if law == "tensor_t" else 0
-    blocks = _time_blocks(first - held, dims) if first > held else []
-    scale = math.sqrt(1.0 - psi * psi)
+    blocks = _time_blocks(first - held, dims)
     prev = None
-
-    def run(z, mix):
-        # divide z's slices by their mixing draws, then the recursion in place
-        nonlocal prev
-        if mix is not None:
-            z /= mix
-        for cur in z:
-            if prev is not None:  # slice 0 starts the recursion unscaled
-                cur *= scale
-                cur += psi * prev
-            prev = cur
-        prev = prev.copy()  # so that z is freed once it is run
-
     if law == "tensor_t":
         replay = copy.deepcopy(rng)
         for lo, hi in blocks:  # skipped here, replayed below
@@ -180,15 +176,15 @@ def gen_noise(
         out = rng.standard_normal(size=(T, *dims))
         mix = np.sqrt(rng.chisquare(dof, size=first + T) / dof).reshape((-1,) + (1,) * len(dims))
         for lo, hi in blocks:
-            run(replay.standard_normal(size=(hi - lo, *dims)), mix[lo:hi])
-        run(hold, mix[first - held:first])
+            prev = _ar1(replay.standard_normal(size=(hi - lo, *dims)), psi, prev, mix[lo:hi])
+        prev = _ar1(hold, psi, prev, mix[first - held:first])
         del hold  # freed before the Cholesky products run
-        run(out, mix[first:])
+        _ar1(out, psi, prev, mix[first:])
     else:
         for lo, hi in blocks:
-            run(rng.standard_normal(size=(hi - lo, *dims)), None)
+            prev = _ar1(rng.standard_normal(size=(hi - lo, *dims)), psi, prev)
         out = rng.standard_normal(size=(T, *dims))
-        run(out, None)
+        _ar1(out, psi, prev)
     chols = _kron_factor_chols(dims)
     for lo, hi in _time_blocks(T, dims):
         out[lo:hi] = series_multi_mode_product(out[lo:hi], chols)
@@ -303,8 +299,8 @@ def run_monte_carlo(
     """Replicated simulation and estimation with per-replication RNG streams.
 
     Replication i draws its dataset from replication_rng(dgp.seed, i), so the
-    result is bit-identical for any ``workers`` count; records are reduced in
-    replication order.
+    result is bit-identical for any ``workers`` count, of which at most ``reps``
+    processes start; records are reduced in replication order.
 
     ``est`` is one config, giving one :class:`MonteCarloResult`, or a
     non-empty sequence of configs, giving one result per config in the same
@@ -325,7 +321,7 @@ def run_monte_carlo(
     else:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
             per_rep = list(pool.map(_replication_rows, tasks))
     results = [
         _aggregate([row for rep_rows in per_rep for row in rep_rows[i]])

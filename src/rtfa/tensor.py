@@ -94,12 +94,11 @@ _BLOCK_BYTES = 512 * 1024
 
 def _time_blocks(n: int, dims) -> list[tuple[int, int]]:
     """[0, n) cut into near-equal (lo, hi) blocks of about ``_BLOCK_BYTES`` of
-    slices.  A mode product's bits do not depend on the blocks; a Gram summed
-    over them does, so this tiling fixes the order of its summation."""
+    slices ([] if n == 0).  A mode product's bits do not depend on the blocks;
+    a Gram summed over them does, so this tiling fixes its summation order."""
     step = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
-    blocks = max(1, -(-n // step))
-    edges = [n * b // blocks for b in range(blocks + 1)]
-    return list(zip(edges, edges[1:]))
+    blocks = -(-n // step)
+    return [(n * b // blocks, n * (b + 1) // blocks) for b in range(blocks)]
 
 
 def _rest_axes(order: int, k: int) -> list[int]:

@@ -154,17 +154,42 @@ def test_evaluate_relmse_without_in_exits_2_before_reading(tmp_path, capsys):
     assert err.startswith("error: --metric relmse requires --in")
 
 
-@pytest.mark.parametrize("case, expected_code", [("mode_count", 2), ("no_factors", 3)])
+def put_nan(path):
+    """Overwrite the first entry of a matrix or series file with NaN."""
+    mtx = path.suffix == ".mtx"
+    read, write = (read_matrix, write_matrix) if mtx else (read_series, write_series)
+    values = read(path)
+    values.flat[0] = np.nan
+    write(values, path)
+
+
+@pytest.mark.parametrize("case, expected_code", [
+    ("mode_count", 2), ("no_factors", 3), ("nan_loading_mse", 2), ("nan_loading_relmse", 2),
+    ("nan_factors", 4), ("nan_truth_common", 4), ("nan_observations", 4),
+])
 def test_failed_evaluate_prints_nothing(tmp_path, capsys, case, expected_code):
+    # a non-finite loading is a usage error (2), a non-finite series a
+    # numerical one (4): neither is scored as nan
     data, truth = write_noiseless(tmp_path)
     est = tmp_path / "est"
     run(capsys, "estimate", "--in", str(data), "--ranks", "2,2,2", "--out", str(est))
+    argv = ("--truth", str(truth), "--metric", "mse")
     if case == "mode_count":
         (tmp_path / "est_loading3.mtx").unlink()
         argv = ("--truth", str(truth), "--metric", "distance")
-    else:
+    elif case == "no_factors":
         (tmp_path / "est_factors.tsrb").unlink()
-        argv = ("--truth", str(truth), "--metric", "mse")
+    elif case.startswith("nan_loading"):
+        put_nan(tmp_path / "est_loading1.mtx")
+        if case.endswith("relmse"):
+            argv = ("--metric", "relmse", "--in", str(data))
+    elif case == "nan_factors":
+        put_nan(tmp_path / "est_factors.tsrb")
+    elif case == "nan_truth_common":
+        put_nan(tmp_path / "truth_common.tsrb")
+    else:
+        put_nan(data)
+        argv = ("--metric", "relmse", "--in", str(data))
     code, out, err = run(capsys, "evaluate", "--est", str(est), *argv)
     assert code == expected_code
     assert err.startswith("error:")

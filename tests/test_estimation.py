@@ -65,6 +65,15 @@ def test_loading_set_validates_normalization():
     assert ls.ranks == (2, 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_loading_set_rejects_non_finite_entries(bad):
+    # a NaN Gram compares False against the tolerance, so it must fail the check
+    a = 2.0 * np.eye(4)[:, :2]
+    a[1, 0] = bad
+    with pytest.raises(ValueError, match="normalization"):
+        LoadingSet((a,))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EstimationConfig(ranks=(2, 2), method="pca")

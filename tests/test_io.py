@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -61,6 +62,40 @@ def test_round_trip_orders(tmp_path, shape):
     path = tmp_path / "series.tsrb"
     write_series(xs, path, "binary")
     assert np.array_equal(read_series(path), xs)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (4, 5), (1, 3, 2)],
+                         ids=["T1-K1-p1", "T1-K1", "K1-p1", "K1", "T1"])
+def test_binary_read_is_writable_and_c_ordered(tmp_path, shape):
+    # where the stored order is already C order, the result is still a copy,
+    # never a read-only view of the file's bytes
+    xs = rng.standard_normal(shape)
+    path = tmp_path / "series.tsrb"
+    write_series(xs, path, "binary")
+    got = read_series(path)
+    assert got.flags.writeable and got.flags.c_contiguous and got.dtype == np.float64
+    assert np.array_equal(got, xs)
+    got += 1.0
+
+
+def test_binary_series_io_holds_one_copy_of_the_payload(tmp_path):
+    # a read holds the file's bytes and the result (2x the series), a write
+    # one storage-ordered copy of the series (1x) on top of its input
+    xs = rng.standard_normal((20, 10, 10, 10))
+    path = tmp_path / "series.tsrb"
+    tracemalloc.start()
+    try:
+        write_series(xs, path, "binary")
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        got = read_series(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, xs)
+    assert write_peak < 1.25 * xs.nbytes
+    assert read_peak - base < 2.25 * xs.nbytes
 
 
 def test_write_rejects_bad_encoding(tmp_path):

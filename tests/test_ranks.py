@@ -101,6 +101,14 @@ def test_ratio_pick_errors():
         eigenvalue_ratio_pick([3.0, 2.0, 1.0], -0.1, 2)
 
 
+@pytest.mark.parametrize("values", [
+    [math.nan, 1.0, 0.5], [math.inf, 1.0, 0.5], [2.0, math.nan, 0.5], [2.0, 1.0, -math.inf],
+], ids=["nan-lead", "inf-lead", "nan-inside", "neg-inf-tail"])
+def test_ratio_pick_rejects_non_finite_values(values):
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalue_ratio_pick(values, 0.0, 1)
+
+
 def test_ratio_pick_rejects_nan_penalty():
     # a NaN penalty would make every ratio NaN, and the pick 1 whatever the values
     with pytest.raises(ValueError, match="penalty"):

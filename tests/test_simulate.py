@@ -333,6 +333,36 @@ def test_monte_carlo_worker_invariance():
     assert serial.aggregate == parallel.aggregate
 
 
+@pytest.mark.parametrize("workers, reps, asked", [(64, 2, 2), (2, 5, 2), (3, 3, 3)])
+def test_monte_carlo_starts_at_most_reps_workers(monkeypatch, workers, reps, asked):
+    # a fork-started pool launches every worker at the first submit, so the
+    # pool is asked for no more workers than there are replications; a
+    # recording stand-in maps serially and starts no process
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    dgp = DgpConfig(dims=(5, 5), T=10, ranks=(2, 2), seed=21)
+    est = EstimationConfig(ranks=(2, 2))
+    got = run_monte_carlo(dgp, est, reps=reps, workers=workers)
+    assert sizes == [asked]
+    assert got.rows == run_monte_carlo(dgp, est, reps=reps, workers=1).rows
+
+
 def test_monte_carlo_rank_config_rows():
     dgp = DgpConfig(dims=(8, 8, 8), T=60, ranks=(2, 2, 2), seed=16)
     mc = run_monte_carlo(dgp, RankConfig(r_max=5), reps=3)
@@ -548,6 +578,11 @@ def test_time_blocks_tile_in_near_equal_blocks(n, dims):
     sizes = [hi - lo for lo, hi in blocks]
     assert max(sizes) - min(sizes) <= 1
     assert blocks == time_blocks_whole(n, dims)
+
+
+def test_time_blocks_of_nothing_is_empty():
+    # gen_noise relies on it: with no burn-in slices to run, there is no block
+    assert _time_blocks(0, (6, 5, 4)) == []
 
 
 @pytest.mark.parametrize("dims, T, ranks", [
