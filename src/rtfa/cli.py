@@ -16,6 +16,7 @@ import numpy as np
 from .eig import _fix_signs, varimax
 from .estimation import (
     _METHODS,
+    _check_loading,
     _check_series,
     EstimationConfig,
     LoadingSet,
@@ -71,10 +72,15 @@ def _write_prefix(prefix: str, mats, encoding: str, **series) -> None:
         write_series(values, f"{prefix}_{name}{_SERIES_EXTS[encoding]}", encoding)
 
 
-def _read_loadings(prefix: str) -> list[np.ndarray]:
+def _read_loadings(prefix: str, normalized: bool = False) -> list[np.ndarray]:
+    """Read <prefix>_loading<k>.mtx for k = 1, 2, ...; each refusal names its file."""
     mats = []
     while (path := Path(f"{prefix}_loading{len(mats) + 1}.mtx")).exists():
         mats.append(read_matrix(path))
+        if not np.isfinite(mats[-1]).all():
+            raise ValueError(f"non-finite entries in {path}")
+        if normalized:
+            _check_loading(mats[-1], str(path))
     if not mats:
         raise FileNotFoundError(f"no loading files found at {prefix}_loading1.mtx")
     return mats
@@ -154,7 +160,7 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"--metric {args.metric} requires --truth")
     if args.metric == "relmse" and not args.infile:
         raise ValueError("--metric relmse requires --in (the observation series)")
-    est_mats = _read_loadings(args.est)
+    est_mats = _read_loadings(args.est, normalized=args.metric != "distance")
     # every row is computed before any is printed: a failure prints nothing
     if args.metric == "distance":
         truth_mats = _read_loadings(args.truth)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,35 +94,24 @@ def varimax(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     tol = _real(tol, "tol", 0)
     (max_sweeps,) = _ints((max_sweeps,), "max_sweeps", 0)
     p, r = a.shape
-    rotation = np.eye(r)
-    if r < 2:
-        return a.copy(), rotation
-    b = a.copy()
-    crit = varimax_criterion(b)
-    for _ in range(max_sweeps):
-        before = crit
-        for i in range(r - 1):
-            for j in range(i + 1, r):
-                x, y = b[:, i], b[:, j]
-                u = x * x - y * y
-                v = 2.0 * x * y
-                su, sv = u.sum(), v.sum()
-                num = 2.0 * (u * v).sum() - 2.0 * su * sv / p
-                den = (u * u - v * v).sum() - (su * su - sv * sv) / p
-                phi = 0.25 * math.atan2(num, den)
-                if abs(phi) < 1e-15:
-                    continue
-                c, s = math.cos(phi), math.sin(phi)
-                pair_before = np.var(x * x) + np.var(y * y)
-                xn = c * x + s * y
-                yn = -s * x + c * y
-                if np.var(xn * xn) + np.var(yn * yn) < pair_before:
-                    continue  # tiny angles can lose to rounding; keep monotone
-                b[:, i], b[:, j] = xn, yn
-                gi = c * rotation[:, i] + s * rotation[:, j]
-                gj = -s * rotation[:, i] + c * rotation[:, j]
-                rotation[:, i], rotation[:, j] = gi, gj
-        crit = varimax_criterion(b)
+    stacked = np.vstack((a, np.eye(r)))  # loadings over the rotation: one turn moves both
+    crit = varimax_criterion(a)
+    for _ in range(max_sweeps if r > 1 else 0):
+        for i, j in itertools.combinations(range(r), 2):
+            x, y = stacked[:, i], stacked[:, j]
+            u, v = (x * x - y * y)[:p], (2.0 * x * y)[:p]
+            su, sv = u.sum(), v.sum()
+            num = 2.0 * (u * v).sum() - 2.0 * su * sv / p
+            den = (u * u - v * v).sum() - (su * su - sv * sv) / p
+            phi = 0.25 * math.atan2(num, den)
+            if abs(phi) < 1e-15:
+                continue
+            c, s = math.cos(phi), math.sin(phi)
+            xn, yn = c * x + s * y, -s * x + c * y
+            if np.var(xn[:p] ** 2) + np.var(yn[:p] ** 2) < np.var(x[:p] ** 2) + np.var(y[:p] ** 2):
+                continue  # tiny angles can lose to rounding; keep monotone
+            stacked[:, i], stacked[:, j] = xn, yn
+        crit, before = varimax_criterion(stacked[:p]), crit
         if crit - before < tol:
             break
-    return b, rotation
+    return stacked[:p], stacked[p:]

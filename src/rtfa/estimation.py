@@ -34,6 +34,14 @@ class NumericalError(ValueError):
     """Non-finite values encountered in data or intermediate results."""
 
 
+def _check_loading(a: np.ndarray, name: str) -> None:
+    """Refuse, naming ``name``, a loading that is not a matrix with A.T A / p = I."""
+    if a.ndim != 2:
+        raise ValueError(f"{name} is not a matrix")
+    if not np.max(np.abs(a.T @ a / a.shape[0] - np.eye(a.shape[1]))) <= 1e-8:  # NaN fails too
+        raise ValueError(f"{name} violates the normalization A.T A / p = I")
+
+
 @dataclass(frozen=True)
 class LoadingSet:
     """One loading matrix per mode, each satisfying A_k.T @ A_k / p_k = I."""
@@ -41,15 +49,9 @@ class LoadingSet:
     mats: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(np.asarray(a, dtype=float) for a in self.mats)
-        object.__setattr__(self, "mats", mats)
-        for k, a in enumerate(mats):
-            if a.ndim != 2:
-                raise ValueError(f"loading {k} is not a matrix")
-            p_k = a.shape[0]
-            gram = a.T @ a / p_k
-            if not np.max(np.abs(gram - np.eye(a.shape[1]))) <= 1e-8:  # NaN fails too
-                raise ValueError(f"loading {k} violates the normalization A.T A / p = I")
+        object.__setattr__(self, "mats", tuple(np.asarray(a, dtype=float) for a in self.mats))
+        for k, a in enumerate(self.mats):
+            _check_loading(a, f"loading {k}")
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ import numpy as np
 
 _MAGIC = b"TSRB"
 _VERSION = 1
+_HEAD = struct.Struct("<4sBI")  # magic, version, K
 _U32_MAX = 2**32 - 1
 
 
@@ -89,11 +90,8 @@ def write_series(series: np.ndarray, path, encoding: str = "binary") -> None:
             _write_rows(fh, flat.reshape(t_len, -1))
     elif encoding == "binary":
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<B", _VERSION))
-            fh.write(struct.pack("<I", len(dims)))
-            fh.write(struct.pack(f"<{len(dims)}I", *dims))
-            fh.write(struct.pack("<Q", t_len))
+            fh.write(_HEAD.pack(_MAGIC, _VERSION, len(dims)))
+            fh.write(struct.pack(f"<{len(dims)}IQ", *dims, t_len))
             fh.write(flat.astype("<f8", copy=False))  # no copy on a little-endian host
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
@@ -118,23 +116,18 @@ def _read_text_series(path) -> np.ndarray:
 def _read_binary_series(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise FileFormatError("bad magic bytes")
-    if len(blob) < 5 or blob[4] != _VERSION:
-        raise FileFormatError("unsupported version")
-    off = 5
-    if len(blob) < off + 4:
+    if len(blob) < _HEAD.size:
         raise FileFormatError("truncated header")
-    (k,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    _, version, k = _HEAD.unpack_from(blob)  # read_series has matched the magic
+    if version != _VERSION:
+        raise FileFormatError(f"unsupported version {version}")
     if k < 1:
         raise FileFormatError("dimension count must be >= 1")
-    if len(blob) < off + 4 * k + 8:
+    shape = struct.Struct(f"<{k}IQ")  # the K dims, then T
+    off = _HEAD.size + shape.size
+    if len(blob) < off:
         raise FileFormatError("truncated header")
-    dims = struct.unpack_from(f"<{k}I", blob, off)
-    off += 4 * k
-    (t_len,) = struct.unpack_from("<Q", blob, off)
-    off += 8
+    *dims, t_len = shape.unpack_from(blob, _HEAD.size)
     if any(d < 1 for d in dims) or t_len < 1:
         raise FileFormatError("dimensions must be positive")
     expected = t_len * math.prod(dims)

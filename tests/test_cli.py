@@ -127,12 +127,17 @@ def test_evaluate_mse_and_relmse(tmp_path, capsys):
 
 def test_evaluate_truth_against_itself(tmp_path, capsys):
     _, truth = write_noiseless(tmp_path)
-    code, out, _ = run(
-        capsys, "evaluate", "--est", str(truth), "--truth", str(truth), "--metric", "distance",
-    )
-    assert code == 0
-    for line in out.strip().splitlines()[1:]:
-        assert float(line.split(",")[2]) <= 1e-12
+    # the distance is basis-free: it scores a finite loading off A.T A / p = I too
+    scaled = tmp_path / "scaled"
+    for k in (1, 2, 3):
+        write_matrix(2.0 * read_matrix(f"{truth}_loading{k}.mtx"), f"{scaled}_loading{k}.mtx")
+    for est in (truth, scaled):
+        code, out, _ = run(
+            capsys, "evaluate", "--est", str(est), "--truth", str(truth), "--metric", "distance",
+        )
+        assert code == 0
+        for line in out.strip().splitlines()[1:]:
+            assert float(line.split(",")[2]) <= 1e-12
 
 
 def test_evaluate_usage_errors(tmp_path, capsys):
@@ -165,6 +170,7 @@ def put_nan(path):
 
 @pytest.mark.parametrize("case, expected_code", [
     ("mode_count", 2), ("no_factors", 3), ("nan_loading_mse", 2), ("nan_loading_relmse", 2),
+    ("nan_loading_distance", 2), ("unnormalized_loading_mse", 2),
     ("nan_factors", 4), ("nan_truth_common", 4), ("nan_observations", 4),
 ])
 def test_failed_evaluate_prints_nothing(tmp_path, capsys, case, expected_code):
@@ -174,15 +180,22 @@ def test_failed_evaluate_prints_nothing(tmp_path, capsys, case, expected_code):
     est = tmp_path / "est"
     run(capsys, "estimate", "--in", str(data), "--ranks", "2,2,2", "--out", str(est))
     argv = ("--truth", str(truth), "--metric", "mse")
+    culprit = None  # the loading file a refusal must name
     if case == "mode_count":
         (tmp_path / "est_loading3.mtx").unlink()
         argv = ("--truth", str(truth), "--metric", "distance")
     elif case == "no_factors":
         (tmp_path / "est_factors.tsrb").unlink()
     elif case.startswith("nan_loading"):
-        put_nan(tmp_path / "est_loading1.mtx")
+        culprit = tmp_path / ("est_loading2.mtx" if case.endswith("distance") else "est_loading1.mtx")
+        put_nan(culprit)
         if case.endswith("relmse"):
             argv = ("--metric", "relmse", "--in", str(data))
+        elif case.endswith("distance"):
+            argv = ("--truth", str(truth), "--metric", "distance")
+    elif case == "unnormalized_loading_mse":
+        culprit = tmp_path / "est_loading2.mtx"
+        write_matrix(2.0 * read_matrix(culprit), culprit)
     elif case == "nan_factors":
         put_nan(tmp_path / "est_factors.tsrb")
     elif case == "nan_truth_common":
@@ -194,6 +207,8 @@ def test_failed_evaluate_prints_nothing(tmp_path, capsys, case, expected_code):
     assert code == expected_code
     assert err.startswith("error:")
     assert out == ""
+    if culprit is not None:
+        assert str(culprit) in err
 
 
 def test_rank_command(tmp_path, capsys):

@@ -261,3 +261,74 @@ def test_sym_eig_and_varimax_take_numpy_integer_sizes():
     a = np.random.default_rng(3).standard_normal((6, 3))
     for got, want in zip(varimax(a, max_sweeps=np.int32(2)), varimax(a, max_sweeps=2)):
         assert np.array_equal(got, want)
+
+
+def varimax_by_pairs(a, tol=1e-10, max_sweeps=100):
+    """Reference form of ``varimax``: the same pair steps in an explicit i < j
+    loop, with the rotation updated beside the loadings rather than with them.
+    Also returns how many pair steps the monotone guard refused."""
+    a = np.asarray(a, dtype=float)
+    p, r = a.shape
+    rotation = np.eye(r)
+    refused = 0
+    if r < 2:
+        return a.copy(), rotation, refused
+    b = a.copy()
+    crit = varimax_criterion(b)
+    for _ in range(max_sweeps):
+        before = crit
+        for i in range(r - 1):
+            for j in range(i + 1, r):
+                x, y = b[:, i], b[:, j]
+                u = x * x - y * y
+                v = 2.0 * x * y
+                su, sv = u.sum(), v.sum()
+                num = 2.0 * (u * v).sum() - 2.0 * su * sv / p
+                den = (u * u - v * v).sum() - (su * su - sv * sv) / p
+                phi = 0.25 * math.atan2(num, den)
+                if abs(phi) < 1e-15:
+                    continue
+                c, s = math.cos(phi), math.sin(phi)
+                pair_before = np.var(x * x) + np.var(y * y)
+                xn = c * x + s * y
+                yn = -s * x + c * y
+                if np.var(xn * xn) + np.var(yn * yn) < pair_before:
+                    refused += 1
+                    continue
+                b[:, i], b[:, j] = xn, yn
+                gi = c * rotation[:, i] + s * rotation[:, j]
+                gj = -s * rotation[:, i] + c * rotation[:, j]
+                rotation[:, i], rotation[:, j] = gi, gj
+        crit = varimax_criterion(b)
+        if crit - before < tol:
+            break
+    return b, rotation, refused
+
+
+def assert_varimax_matches_pairs(a):
+    rotated, rotation = varimax(a)
+    want_rotated, want_rotation, refused = varimax_by_pairs(a)
+    assert same_bits(rotated, want_rotated)
+    assert same_bits(rotation, want_rotation)
+    return refused
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (40, 1), (9, 2), (300, 2), (2, 3), (3, 7)])
+def test_varimax_matches_pairwise_loop_on_edge_shapes(shape):
+    assert_varimax_matches_pairs(np.random.default_rng(sum(shape)).standard_normal(shape))
+
+
+def test_varimax_matches_pairwise_loop_when_already_optimal():
+    a = np.array([[2.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -3.0]])
+    assert assert_varimax_matches_pairs(a) == 0
+    assert np.array_equal(varimax(a)[1], np.eye(3))
+
+
+def test_varimax_matches_pairwise_loop_on_random_draws():
+    # enough draws that the monotone guard refuses some pair steps
+    draw = np.random.default_rng(28)
+    refused = 0
+    for _ in range(20):
+        shape = (int(draw.integers(10, 201)), int(draw.integers(3, 9)))
+        refused += assert_varimax_matches_pairs(draw.standard_normal(shape))
+    assert refused > 0
