@@ -29,6 +29,7 @@ from .metrics import (
     complete_linkage,
     loading_distance_matrix,
     mse_common,
+    orthonormal_basis,
     relative_mse,
     subspace_distance,
 )
@@ -73,7 +74,8 @@ def _write_prefix(prefix: str, mats, encoding: str, **series) -> None:
 
 
 def _read_loadings(prefix: str, normalized: bool = False) -> list[np.ndarray]:
-    """Read <prefix>_loading<k>.mtx for k = 1, 2, ...; each refusal names its file."""
+    """Read <prefix>_loading<k>.mtx for k = 1, 2, ..., each finite and either
+    normalized or of full column rank; each refusal names its file."""
     mats = []
     while (path := Path(f"{prefix}_loading{len(mats) + 1}.mtx")).exists():
         mats.append(read_matrix(path))
@@ -81,6 +83,11 @@ def _read_loadings(prefix: str, normalized: bool = False) -> list[np.ndarray]:
             raise ValueError(f"non-finite entries in {path}")
         if normalized:
             _check_loading(mats[-1], str(path))
+        else:
+            try:
+                orthonormal_basis(mats[-1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     if not mats:
         raise FileNotFoundError(f"no loading files found at {prefix}_loading1.mtx")
     return mats
@@ -220,17 +227,18 @@ def _cmd_analyze(args) -> int:
         raise ValueError("nothing to do: pass --varimax and/or --cluster")
     a = read_matrix(args.loadings)
     prefix = args.out or str(Path(args.loadings).with_suffix(""))
-    display_source = a
+    # the rotation and the tree are computed before either is written: a failure writes nothing
     if args.varimax:
-        rotated = _fix_signs(varimax(a)[0])
-        display = np.trunc(30.0 * rotated).astype(int)
-        cols = range(1, rotated.shape[1] + 1)
-        header = ["entity", *(f"col{j}" for j in cols), *(f"display{j}" for j in cols)]
-        rows = ([i + 1, *rotated[i], *display[i]] for i in range(len(rotated)))
-        _write_csv(f"{prefix}_varimax.csv", header, rows)
-        display_source = rotated
+        a = _fix_signs(varimax(a)[0])
     if args.cluster:
-        tree = complete_linkage(loading_distance_matrix(display_source))
+        tree = complete_linkage(loading_distance_matrix(a))
+    if args.varimax:
+        display = np.trunc(30.0 * a).astype(int)
+        cols = range(1, a.shape[1] + 1)
+        header = ["entity", *(f"col{j}" for j in cols), *(f"display{j}" for j in cols)]
+        rows = ([i + 1, *a[i], *display[i]] for i in range(len(a)))
+        _write_csv(f"{prefix}_varimax.csv", header, rows)
+    if args.cluster:
         _write_csv(f"{prefix}_clusters.csv", ["cluster_a", "cluster_b", "height"], tree.merges)
     return 0
 

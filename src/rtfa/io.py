@@ -45,13 +45,6 @@ def _from_storage_flat(data: np.ndarray, dims: tuple[int, ...], t_len: int) -> n
     return np.array(np.moveaxis(shaped, -1, 0), dtype=float, order="C")
 
 
-def _write_rows(fh, rows: np.ndarray) -> None:
-    # one template per row: a whole-payload tuple would box every value at once
-    template = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-    for row in rows:
-        fh.write(template % tuple(row.tolist()))
-
-
 def _read_rows(fh, rows: int, cols: int) -> np.ndarray:
     try:
         with warnings.catch_warnings():
@@ -87,7 +80,7 @@ def write_series(series: np.ndarray, path, encoding: str = "binary") -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("TSR 1 text\n")
             fh.write(" ".join(str(v) for v in (len(dims), *dims, t_len)) + "\n")
-            _write_rows(fh, flat.reshape(t_len, -1))
+            np.savetxt(fh, flat.reshape(t_len, -1), fmt="%.17g")
     elif encoding == "binary":
         with open(path, "wb") as fh:
             fh.write(_HEAD.pack(_MAGIC, _VERSION, len(dims)))
@@ -157,7 +150,7 @@ def write_matrix(a: np.ndarray, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("MTX 1\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        _write_rows(fh, a)
+        np.savetxt(fh, a, fmt="%.17g")
 
 
 def read_matrix(path) -> np.ndarray:

@@ -12,6 +12,14 @@ from .eig import sym_eig
 from .tensor import _ints
 
 
+def _same_shape(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands as float arrays; ValueError unless their shapes agree."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
 def orthonormal_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space, via the eigenvectors of a.T @ a."""
     a = np.asarray(a, dtype=float)
@@ -28,10 +36,7 @@ def subspace_distance(a_hat: np.ndarray, a_true: np.ndarray) -> float:
     0 when the spans coincide, 1 when they are orthogonal.  Basis-free: any
     right-multiplication by a nonsingular matrix leaves the value unchanged.
     """
-    a_hat = np.asarray(a_hat, dtype=float)
-    a_true = np.asarray(a_true, dtype=float)
-    if a_hat.shape != a_true.shape:
-        raise ValueError(f"shape mismatch: {a_hat.shape} vs {a_true.shape}")
+    a_hat, a_true = _same_shape(a_hat, a_true)
     return _basis_distance(orthonormal_basis(a_hat), orthonormal_basis(a_true))
 
 
@@ -45,20 +50,14 @@ def _basis_distance(qa: np.ndarray, qb: np.ndarray) -> float:
 
 def mse_common(est: np.ndarray, truth: np.ndarray) -> float:
     """Mean squared entry error: sum_t ||est_t - truth_t||_F^2 / (T p)."""
-    est = np.asarray(est, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if est.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
+    est, truth = _same_shape(est, truth)
     err = est - truth
     return float(np.mean(np.square(err, out=err)))
 
 
 def relative_mse(x: np.ndarray, s_hat: np.ndarray) -> float:
     """sum_t ||x_t - s_hat_t||_F^2 / sum_t ||x_t||_F^2."""
-    x = np.asarray(x, dtype=float)
-    s_hat = np.asarray(s_hat, dtype=float)
-    if x.shape != s_hat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {s_hat.shape}")
+    x, s_hat = _same_shape(x, s_hat)
     den = float(np.sum(np.square(x)))
     if den <= 0.0:
         raise ValueError("zero data: relative error undefined")
@@ -99,11 +98,11 @@ def loading_distance_matrix(a: np.ndarray) -> np.ndarray:
 
     Each of the r coordinates is standardized by its sample variance across
     entities; zero-variance coordinates are dropped with a warning.  Raises
-    ValueError on a non-finite loading.
+    ValueError on a non-finite loading or on fewer than two entities.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a p x r loading matrix")
+    if a.ndim != 2 or a.shape[0] < 2:
+        raise ValueError("clustering needs a p x r loading matrix of at least two entities")
     if not np.isfinite(a).all():
         raise ValueError("non-finite entries in loading matrix")
     var = a.var(axis=0, ddof=1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,7 @@ def put_nan(path):
     ("mode_count", 2), ("no_factors", 3), ("nan_loading_mse", 2), ("nan_loading_relmse", 2),
     ("nan_loading_distance", 2), ("unnormalized_loading_mse", 2),
     ("nan_factors", 4), ("nan_truth_common", 4), ("nan_observations", 4),
+    ("rank_deficient_est", 2), ("rank_deficient_truth", 2),
 ])
 def test_failed_evaluate_prints_nothing(tmp_path, capsys, case, expected_code):
     # a non-finite loading is a usage error (2), a non-finite series a
@@ -196,6 +199,13 @@ def test_failed_evaluate_prints_nothing(tmp_path, capsys, case, expected_code):
     elif case == "unnormalized_loading_mse":
         culprit = tmp_path / "est_loading2.mtx"
         write_matrix(2.0 * read_matrix(culprit), culprit)
+    elif case.startswith("rank_deficient"):
+        # a zero column: finite, but its column space is degenerate
+        culprit = tmp_path / f"{case.split('_')[-1]}_loading2.mtx"
+        a = read_matrix(culprit)
+        a[:, 1] = 0.0
+        write_matrix(a, culprit)
+        argv = ("--truth", str(truth), "--metric", "distance")
     elif case == "nan_factors":
         put_nan(tmp_path / "est_factors.tsrb")
     elif case == "nan_truth_common":
@@ -422,6 +432,18 @@ def test_analyze_requires_action(tmp_path, capsys):
     write_matrix(a, loadings)
     code, _, err = run(capsys, "analyze", "--loadings", str(loadings))
     assert code == 2
+
+
+def test_analyze_one_row_loading_writes_nothing(tmp_path, capsys):
+    loadings = tmp_path / "row.mtx"
+    write_matrix(np.array([[0.5, -1.0, 2.0]]), loadings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", "--loadings", str(loadings), "--varimax", "--cluster")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "two entities" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["row.mtx"]
 
 
 def test_loadings_read_back_normalized(tmp_path, capsys):

@@ -383,3 +383,17 @@ def test_text_payload_accepted(tmp_path, reader, payload):
     path = tmp_path / f"good{ext}"
     path.write_text(header + text)
     assert np.array_equal(read(path), np.reshape(values, (2, 4)), equal_nan=True)
+
+
+def test_text_writers_ignore_a_gz_suffix(tmp_path):
+    # a .gz name is only a name: the payload is plain ASCII, never gzip
+    xs = rng.standard_normal((3, 2, 2))
+    path = tmp_path / "s.tsr.gz"
+    write_series(xs, path, "text")
+    assert path.read_bytes() == oracle_series_text(xs).encode()
+    assert np.array_equal(read_series(path), xs)
+    a = rng.standard_normal((4, 3))
+    path = tmp_path / "a.mtx.gz"
+    write_matrix(a, path)
+    assert path.read_bytes() == oracle_matrix_text(a).encode()
+    assert np.array_equal(read_matrix(path), a)

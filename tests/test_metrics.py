@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,23 @@ def test_loading_distance_zero_variance_column_dropped():
 def test_loading_distance_all_zero_variance():
     with pytest.raises(ValueError):
         loading_distance_matrix(np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (0, 3)])
+def test_loading_distance_needs_two_entities(shape):
+    # refused before a variance is taken: no degrees-of-freedom warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="two entities"):
+            loading_distance_matrix(np.ones(shape))
+
+
+@pytest.mark.parametrize("metric", [subspace_distance, mse_common, relative_mse])
+def test_pair_metrics_refuse_a_shape_mismatch(metric):
+    a = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(ValueError, match=r"shape mismatch: \(3, 2\) vs \(2, 3\)"):
+        metric(a, np.transpose(a).tolist())
+    assert metric(a, a) == 0.0  # nested lists are accepted
 
 
 def cophenetic_matrix(tree: ClusterTree, n: int) -> np.ndarray:
